@@ -75,7 +75,9 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} != {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
+        len(a), "big"
+    )
 
 
 # --- lane transposes for the bitsliced backend ------------------------------

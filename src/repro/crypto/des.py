@@ -10,20 +10,28 @@ CBC, the propagation behaviour of PCBC, and so on.
 
 The implementation follows FIPS 46-3: initial/final permutations, 16
 Feistel rounds with the E expansion, the eight S-boxes, the P
-permutation, and the PC-1/PC-2 key schedule.  Two standard software-DES
-optimisations are fused at import time, neither of which changes the
-function computed:
+permutation, and the PC-1/PC-2 key schedule.  The standard software-DES
+table layout is compiled at import, without changing the function
+computed:
 
-* the S-boxes and P permutation are combined into eight 64-entry "SP"
-  tables, then paired into four 4096-entry tables, so each round's
-  substitution+permutation is four lookups;
-* the initial and final permutations are compiled into 8×256
-  byte-indexed tables (:func:`_build_byte_tables`), and the E expansion
-  disappears entirely — E maps each S-box input to six *contiguous* bits
-  of a 34-bit wraparound of R, so the round function is pure shifts,
-  masks, XORs, and SP-table hits.
+* both Feistel halves are kept rotated right by 3 between IP and FP
+  (the IP and FP byte tables absorb the rotation).  Then ``u = R`` holds
+  the E windows of S-boxes 1/3/5/7 at bits 24-29, 16-21, 8-13 and 0-5,
+  and ``t = rotl(R, 4)`` those of boxes 2/4/6/8, so E is one rotation;
+* the S-boxes are fused with P and paired behind one ``& 0x3F3F``
+  index each — four 16,192-slot tables (4,096 live entries each, the
+  unreachable slots share the int ``0``) — so a round is four lookups;
+* round keys are cooked into matching ``(ku, kt)`` words when a schedule
+  is built, and :func:`_crypt_int` runs two rounds per loop iteration,
+  so the halves never swap;
+* IP, FP, PC-1 and PC-2 are byte-indexed tables (:func:`_byte_tables`,
+  filled by lowest-set-bit doubling), and the 28-bit C/D rotations run
+  on the 56-bit ``C·D`` word at once.
 
-The per-bit path the tables replace is retained verbatim in
+:func:`_crypt_int` (64-bit int in, 64-bit int out) is the one block
+function; :mod:`repro.crypto.modes` calls it directly on unpacked ints,
+and :func:`_crypt_block` is its bytes wrapper.  The per-bit path the
+tables replace — block function and key schedule — is retained in
 :mod:`repro.crypto.des_reference`; property tests cross-check the two on
 the FIPS/Rivest vectors and on random keys and blocks.
 
@@ -43,7 +51,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Sequence, Tuple
 
-from repro.crypto.bits import bytes_to_int, permute, rotate_left
+from repro.crypto.bits import permute
 
 __all__ = [
     "BLOCK_SIZE",
@@ -242,47 +250,116 @@ def _build_sp_tables() -> Tuple[Tuple[int, ...], ...]:
 _SP = _build_sp_tables()
 
 
-def _build_byte_tables(table: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    """Compile a 64->64 bit permutation into 8×256 byte-indexed tables.
+def _images(table: Sequence[int], width_in: int) -> List[int]:
+    """Single-bit images of a FIPS selection table.
 
-    ``T[i][b]`` is the permuted output contribution of input byte *i*
-    holding value *b*; each output bit has exactly one source bit, so the
-    full permutation is the OR of the eight per-byte contributions.
+    ``images[j]`` is the output of *table* (one 1-based source index per
+    output bit, most significant first) when only input bit ``j + 1`` of
+    a *width_in*-bit word is set.  Dropped input bits (PC-1's parity
+    bits) have image 0.
     """
     width = len(table)
+    images = [0] * width_in
+    for out_pos, src in enumerate(table):
+        images[src - 1] |= 1 << (width - 1 - out_pos)
+    return images
+
+
+def _byte_tables(images: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Compile a bitwise-linear map into byte-indexed lookup tables.
+
+    ``T[i][v]`` is the output when input byte *i* (most significant
+    first) holds *v*, so the whole map is the OR of one hit per input
+    byte.  Each entry is built by lowest-set-bit doubling from an entry
+    already filled: ``T[v] = T[v & (v - 1)] | image(lowest bit of v)``.
+    Entries that differ only in dropped input bits (PC-1's parity bits,
+    the eight bits PC-2 discards) share one int, which keeps the tables
+    small in memory.
+    """
     tables: List[Tuple[int, ...]] = []
-    for byte_index in range(8):
-        entries = []
-        for value in range(256):
-            acc = 0
-            for out_pos, src in enumerate(table):
-                src_byte, src_bit = divmod(src - 1, 8)
-                if src_byte == byte_index and (value >> (7 - src_bit)) & 1:
-                    acc |= 1 << (width - 1 - out_pos)
-            entries.append(acc)
+    for first in range(0, len(images), 8):
+        # by_bit[b] is the image of the byte's value bit b (1 << b).
+        by_bit = images[first:first + 8][::-1]
+        dropped = sum(1 << b for b, image in enumerate(by_bit) if not image)
+        entries = [0] * 256
+        for v in range(1, 256):
+            if v & dropped:
+                # Share the int of the entry without the dropped bits.
+                entries[v] = entries[v & ~dropped]
+            else:
+                entries[v] = entries[v & (v - 1)] | by_bit[(v & -v).bit_length() - 1]
         tables.append(tuple(entries))
     return tuple(tables)
 
 
-_IP_TAB = _build_byte_tables(_IP)
-_FP_TAB = _build_byte_tables(_FP)
+def _half_shift(pos: int, amount: int) -> int:
+    """Where 1-based bit *pos* of a 64-bit word lands when each 32-bit
+    half is rotated *amount* places towards its least significant end."""
+    half, bit = divmod(pos - 1, 32)
+    return 32 * half + (bit + amount) % 32 + 1
 
-#: The SP tables paired up: ``_SPP[i][(a << 6) | b]`` is
-#: ``_SP[2i][a] ^ _SP[2i+1][b]``, so a round needs four lookups instead
-#: of eight.  16K entries, built once at import.
-_SPP = tuple(
-    tuple(_SP[2 * i][v >> 6] ^ _SP[2 * i + 1][v & 0x3F] for v in range(4096))
-    for i in range(4)
+
+def _rotr3(word: int) -> int:
+    return ((word >> 3) | (word << 29)) & 0xFFFFFFFF
+
+
+#: IP and FP with the rotated-halves layout folded in: IP's two output
+#: halves come out rotated right by 3, and FP rotates them back first.
+_IP_TAB = _byte_tables(
+    _images(tuple(_IP[_half_shift(k, -3) - 1] for k in range(1, 65)), 64)
+)
+_FP_TAB = _byte_tables(_images(tuple(_half_shift(s, 3) for s in _FP), 64))
+
+
+def _pair_table(high: int, low: int) -> Tuple[int, ...]:
+    """S-boxes *high* and *low* (0-based) behind one ``& 0x3F3F`` index:
+    slot ``(x << 8) | y`` holds their rotated SP outputs for inputs x, y.
+    The 12,096 slots no index reaches hold the shared int ``0``."""
+    table = [0] * 0x3F40
+    lows = [_rotr3(out) for out in _SP[low]]
+    for x, out_x in enumerate(_SP[high]):
+        base, out_x = x << 8, _rotr3(out_x)
+        for y, out_y in enumerate(lows):
+            table[base | y] = out_x ^ out_y
+    return tuple(table)
+
+
+#: Boxes 1·3 and 5·7 read ``u``; boxes 2·4 and 6·8 read ``t``.
+_SP_PAIRS = (_pair_table(0, 2), _pair_table(4, 6),
+             _pair_table(1, 3), _pair_table(5, 7))
+
+#: The key schedule as byte tables: PC-1 (64 -> 56 bits), PC-2 (56 -> 48).
+_PC1_TAB = _byte_tables(_images(_PC1, 64))
+_PC2_TAB = _byte_tables(_images(_PC2, 56))
+
+#: The per-round left rotations of C and D, applied to the 56-bit word
+#: ``C·D`` at once: ``CD = ((CD << shift) & keep) | ((CD >> back) & wrap)``.
+_KS_STEPS = tuple(
+    (
+        shift,
+        ((1 << 56) - 1) & ~(((1 << shift) - 1) << 28),
+        28 - shift,
+        (((1 << shift) - 1) << 28) | ((1 << shift) - 1),
+    )
+    for shift in _SHIFTS
 )
 
-#: E-expansion eliminator.  E feeds S-box *i* the six contiguous bits
-#: 4i-1 .. 4i+4 of R (wrapping), so over the 34-bit wraparound word
-#: ``w = R32 · R1..R32 · R1`` an S-box *pair* reads ten contiguous bits.
-#: ``_ECAT`` spreads those ten bits into the 12-bit pair index (the two
-#: middle bits are shared between the boxes — that is the whole content
-#: of E): the round function becomes shifts, masks, XORs and table hits,
-#: with no expansion step at all.
-_ECAT = tuple(((v >> 4) << 6) | (v & 0x3F) for v in range(1024))
+
+def _cook_images() -> List[int]:
+    """Subkey bit -> its place in the cooked word ``(ku << 32) | kt``.
+
+    Box *i*'s six key bits sit under its E window: boxes 1/3/5/7 in
+    ``ku`` and boxes 2/4/6/8 in ``kt``, at bits 24-29, 16-21, 8-13, 0-5.
+    """
+    images = []
+    for n in range(48):
+        box, bit = divmod(n, 6)
+        word = 32 if box % 2 == 0 else 0
+        images.append(1 << (word + 24 - 8 * (box // 2) + 5 - bit))
+    return images
+
+
+_COOK_TAB = _byte_tables(_cook_images())
 
 #: Per-byte popcount-parity (1 = odd number of set bits).  Python 3.9 has
 #: no ``int.bit_count``; one 256-entry table serves both parity helpers.
@@ -297,23 +374,33 @@ def derive_subkeys(key: bytes) -> Tuple[int, ...]:
     """
     if len(key) != KEY_SIZE:
         raise DesError(f"DES key must be {KEY_SIZE} bytes, got {len(key)}")
-    permuted = permute(bytes_to_int(key), 64, _PC1)
-    c = permuted >> 28
-    d = permuted & 0xFFFFFFF
+    pc1 = _PC1_TAB
+    cd = (
+        pc1[0][key[0]] | pc1[1][key[1]] | pc1[2][key[2]] | pc1[3][key[3]]
+        | pc1[4][key[4]] | pc1[5][key[5]] | pc1[6][key[6]] | pc1[7][key[7]]
+    )
+    pc2 = _PC2_TAB
     subkeys = []
-    for shift in _SHIFTS:
-        c = rotate_left(c, shift, 28)
-        d = rotate_left(d, shift, 28)
-        subkeys.append(permute((c << 28) | d, 56, _PC2))
+    for shift, keep, back, wrap in _KS_STEPS:
+        cd = ((cd << shift) & keep) | ((cd >> back) & wrap)
+        subkeys.append(
+            pc2[0][cd >> 48] | pc2[1][(cd >> 40) & 0xFF]
+            | pc2[2][(cd >> 32) & 0xFF] | pc2[3][(cd >> 24) & 0xFF]
+            | pc2[4][(cd >> 16) & 0xFF] | pc2[5][(cd >> 8) & 0xFF]
+            | pc2[6][cd & 0xFF]
+        )
     return tuple(subkeys)
 
 
-def _split_rounds(subkeys: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    """Pre-split each 48-bit round key into four 12-bit S-box-pair chunks,
-    matching the paired ``_SPP`` tables."""
+#: Cooked round keys, two rounds per entry: ``(ku, kt, ku', kt')``.
+_Rounds = Tuple[Tuple[int, int, int, int], ...]
+
+
+def _pair_rounds(cooked: Sequence[int]) -> _Rounds:
+    """Split cooked words ``(ku << 32) | kt`` into two-round entries."""
     return tuple(
-        tuple((subkey >> (36 - 12 * i)) & 0xFFF for i in range(4))
-        for subkey in subkeys
+        (a >> 32, a & 0xFFFFFFFF, b >> 32, b & 0xFFFFFFFF)
+        for a, b in zip(cooked[0::2], cooked[1::2])
     )
 
 
@@ -332,45 +419,54 @@ class _OpCounter:
 BLOCK_OPS = _OpCounter()
 
 
-def _crypt_block(block: bytes, rounds: Sequence[Sequence[int]]) -> bytes:
-    """One block operation over pre-split round keys, all table-driven.
+def _crypt_int(value: int, rounds: _Rounds) -> int:
+    """One block operation on a 64-bit int, all table-driven.
 
-    The Feistel round works on the 34-bit wraparound word ``w`` (R bit
-    32, bits 1..32, bit 1 again, FIPS numbering): each ``_ECAT`` slice
-    is one S-box pair's E-expanded input, XORed against 12 pre-split key
-    bits and resolved through one paired ``_SPP`` hit.  Four lookups per
-    round, no per-bit permutation anywhere on the path.
+    Two Feistel rounds per iteration, so the halves never swap.  Each
+    round XORs the cooked key into ``u = R`` and ``t = rotl(R, 4)``
+    (both halves stay rotated right by 3 between IP and FP) and resolves
+    the eight S-boxes with four ``& 0x3F3F`` pair-table hits.
     """
-    if len(block) != BLOCK_SIZE:
-        raise DesError(f"DES block must be {BLOCK_SIZE} bytes, got {len(block)}")
     BLOCK_OPS.count += 1
     ip = _IP_TAB
     value = (
-        ip[0][block[0]] | ip[1][block[1]] | ip[2][block[2]] | ip[3][block[3]]
-        | ip[4][block[4]] | ip[5][block[5]] | ip[6][block[6]] | ip[7][block[7]]
+        ip[0][value >> 56] | ip[1][(value >> 48) & 0xFF]
+        | ip[2][(value >> 40) & 0xFF] | ip[3][(value >> 32) & 0xFF]
+        | ip[4][(value >> 24) & 0xFF] | ip[5][(value >> 16) & 0xFF]
+        | ip[6][(value >> 8) & 0xFF] | ip[7][value & 0xFF]
     )
     left = value >> 32
     right = value & 0xFFFFFFFF
-    cat = _ECAT
-    sp0, sp1, sp2, sp3 = _SPP
-    for k0, k1, k2, k3 in rounds:
-        w = ((right & 1) << 33) | (right << 1) | (right >> 31)
-        left, right = right, left ^ (
-            sp0[cat[(w >> 24) & 0x3FF] ^ k0]
-            ^ sp1[cat[(w >> 16) & 0x3FF] ^ k1]
-            ^ sp2[cat[(w >> 8) & 0x3FF] ^ k2]
-            ^ sp3[cat[w & 0x3FF] ^ k3]
+    sp0, sp1, sp2, sp3 = _SP_PAIRS
+    for ku, kt, ku2, kt2 in rounds:
+        u = right ^ ku
+        t = ((right << 4) | (right >> 28)) ^ kt
+        left ^= (
+            sp0[(u >> 16) & 0x3F3F] ^ sp1[u & 0x3F3F]
+            ^ sp2[(t >> 16) & 0x3F3F] ^ sp3[t & 0x3F3F]
         )
-    # Final swap is folded into the order of (right, left) here.
+        u = left ^ ku2
+        t = ((left << 4) | (left >> 28)) ^ kt2
+        right ^= (
+            sp0[(u >> 16) & 0x3F3F] ^ sp1[u & 0x3F3F]
+            ^ sp2[(t >> 16) & 0x3F3F] ^ sp3[t & 0x3F3F]
+        )
+    # The output swap is folded into the order of (right, left) here.
     pre = (right << 32) | left
     fp = _FP_TAB
-    out = (
+    return (
         fp[0][pre >> 56] | fp[1][(pre >> 48) & 0xFF]
         | fp[2][(pre >> 40) & 0xFF] | fp[3][(pre >> 32) & 0xFF]
         | fp[4][(pre >> 24) & 0xFF] | fp[5][(pre >> 16) & 0xFF]
         | fp[6][(pre >> 8) & 0xFF] | fp[7][pre & 0xFF]
     )
-    return out.to_bytes(8, "big")
+
+
+def _crypt_block(block: bytes, rounds: _Rounds) -> bytes:
+    """:func:`_crypt_int` on one 8-byte block."""
+    if len(block) != BLOCK_SIZE:
+        raise DesError(f"DES block must be {BLOCK_SIZE} bytes, got {len(block)}")
+    return _crypt_int(int.from_bytes(block, "big"), rounds).to_bytes(8, "big")
 
 
 # --- the key-schedule cache ------------------------------------------------
@@ -380,9 +476,9 @@ class KeySchedule:
     """One key's derived schedule, in both directions and both layouts.
 
     ``subkeys`` is exactly :func:`derive_subkeys`'s output (16 48-bit
-    ints, encryption order); the pre-split forms are what the fast block
-    path consumes.  Instances are immutable in practice and shared freely
-    through the module cache.
+    ints, encryption order); the cooked two-round forms are what the
+    fast block path consumes.  Instances are immutable in practice and
+    shared freely through the module cache.
     """
 
     __slots__ = ("key", "subkeys", "_enc_rounds", "_dec_rounds")
@@ -390,8 +486,14 @@ class KeySchedule:
     def __init__(self, key: bytes) -> None:
         self.key = bytes(key)
         self.subkeys = derive_subkeys(self.key)
-        self._enc_rounds = _split_rounds(self.subkeys)
-        self._dec_rounds = tuple(reversed(self._enc_rounds))
+        c0, c1, c2, c3, c4, c5 = _COOK_TAB
+        cooked = [
+            c0[k >> 40] | c1[(k >> 32) & 0xFF] | c2[(k >> 24) & 0xFF]
+            | c3[(k >> 16) & 0xFF] | c4[(k >> 8) & 0xFF] | c5[k & 0xFF]
+            for k in self.subkeys
+        ]
+        self._enc_rounds = _pair_rounds(cooked)
+        self._dec_rounds = _pair_rounds(cooked[::-1])
 
     def encrypt_block(self, block: bytes) -> bytes:
         return _crypt_block(block, self._enc_rounds)

@@ -1,13 +1,17 @@
-"""The straight-from-the-standard DES block path, kept for cross-checking.
+"""The straight-from-the-standard DES path, kept for cross-checking.
 
 This module preserves the original per-bit implementation of the DES
-block function: the initial and final permutations and the E expansion
-all go through the generic :func:`repro.crypto.bits.permute`, exactly as
-FIPS 46 writes them down.  :mod:`repro.crypto.des` replaced that path
-with byte-indexed lookup tables fused at import time; the two must
-compute the identical function, and the property tests in
-``tests/test_crypto_fastpath.py`` (plus the E27 benchmark) hold them to
-it on the published vectors and on random keys and blocks.
+block function and key schedule: the initial and final permutations,
+the E expansion, PC-1, the C/D rotations and PC-2 all go through the
+generic :func:`repro.crypto.bits.permute` and
+:func:`repro.crypto.bits.rotate_left`, exactly as FIPS 46 writes them
+down.  :mod:`repro.crypto.des` replaced both with lookup tables fused at
+import time; the two must compute the identical function, and the
+property tests in ``tests/test_crypto_fastpath.py`` (plus the E27
+benchmark) hold them to it on the published vectors and on random keys
+and blocks.  The schedule is derived here independently, so a fault in
+the table-driven :func:`repro.crypto.des.derive_subkeys` cannot hide
+behind a shared derivation.
 
 The reference path deliberately does **not** touch
 :data:`repro.crypto.des.BLOCK_OPS` — it exists only for verification and
@@ -22,24 +26,43 @@ error cannot hide in only one of the two paths.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
-from repro.crypto.bits import bytes_to_int, int_to_bytes, permute
+from repro.crypto.bits import bytes_to_int, int_to_bytes, permute, rotate_left
 from repro.crypto.des import (
     BLOCK_SIZE,
+    KEY_SIZE,
     DesError,
     _E,
     _FP,
     _IP,
+    _PC1,
+    _PC2,
+    _SHIFTS,
     _SP,
-    derive_subkeys,
 )
 
 __all__ = [
+    "derive_subkeys",
     "crypt_block",
     "encrypt_block",
     "decrypt_block",
 ]
+
+
+def derive_subkeys(key: bytes) -> Tuple[int, ...]:
+    """The FIPS 46 key schedule with per-bit PC-1/PC-2 permutations."""
+    if len(key) != KEY_SIZE:
+        raise DesError(f"DES key must be {KEY_SIZE} bytes, got {len(key)}")
+    permuted = permute(bytes_to_int(key), 64, _PC1)
+    c = permuted >> 28
+    d = permuted & 0xFFFFFFF
+    subkeys = []
+    for shift in _SHIFTS:
+        c = rotate_left(c, shift, 28)
+        d = rotate_left(d, shift, 28)
+        subkeys.append(permute((c << 28) | d, 56, _PC2))
+    return tuple(subkeys)
 
 
 def _feistel(right: int, subkey: int) -> int:

@@ -19,21 +19,24 @@ The modes here are the protagonists of two of the paper's attacks:
 All functions take and return raw ``bytes``; inputs must already be padded
 to a multiple of the 8-byte block size (see :func:`pad_zero` /
 :func:`pad_random`).  Every mode routes through the module-level key
-schedule cache (:func:`repro.crypto.des.get_schedule`) and assembles its
-output into one preallocated ``bytearray``, so repeated calls under the
-same key — the common case three protocol layers deep — cost only block
-operations.  Confounders — the random leading block Version 5
-prepends so that identical plaintexts encrypt differently — are provided
-as explicit helpers because the paper argues they belong in the encryption
-layer, not the protocol layer.
+schedule cache (:func:`repro.crypto.des.get_schedule`) and works in the
+int domain: one ``struct.unpack`` turns the whole message into 64-bit
+ints, each block goes through :func:`repro.crypto.des._crypt_int`,
+chaining is plain int XOR, and one ``struct.pack`` assembles the output.
+No block is sliced, XORed as bytes, or converted on its own, so repeated
+calls under the same key — the common case three protocol layers deep —
+cost only block operations.  Confounders — the random leading block
+Version 5 prepends so that identical plaintexts encrypt differently —
+are provided as explicit helpers because the paper argues they belong in
+the encryption layer, not the protocol layer.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
+import struct
+from typing import List, Protocol, Tuple
 
-from repro.crypto.bits import xor_bytes
-from repro.crypto.des import BLOCK_SIZE, DesError, get_schedule
+from repro.crypto.des import BLOCK_SIZE, DesError, _crypt_int, get_schedule
 
 __all__ = [
     "SupportsRandomBytes",
@@ -60,18 +63,6 @@ class SupportsRandomBytes(Protocol):
     def random_bytes(self, length: int) -> bytes: ...
 
 
-def _check_blocks(data: bytes, what: str) -> None:
-    if len(data) % BLOCK_SIZE:
-        raise DesError(
-            f"{what} length {len(data)} is not a multiple of {BLOCK_SIZE}"
-        )
-
-
-def _check_iv(iv: bytes) -> None:
-    if len(iv) != BLOCK_SIZE:
-        raise DesError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
-
-
 def pad_zero(data: bytes) -> bytes:
     """Pad with NUL bytes up to a block boundary (Kerberos style).
 
@@ -92,49 +83,59 @@ def pad_random(data: bytes, rng: SupportsRandomBytes) -> bytes:
     return data + rng.random_bytes(BLOCK_SIZE - remainder)
 
 
+def _blocks(data: bytes, what: str) -> Tuple[int, ...]:
+    """The message as 64-bit big-endian ints, one per block."""
+    if len(data) % BLOCK_SIZE:
+        raise DesError(
+            f"{what} length {len(data)} is not a multiple of {BLOCK_SIZE}"
+        )
+    return struct.unpack(f">{len(data) // BLOCK_SIZE}Q", data)
+
+
+def _iv(iv: bytes) -> int:
+    if len(iv) != BLOCK_SIZE:
+        raise DesError(f"IV must be {BLOCK_SIZE} bytes, got {len(iv)}")
+    return int.from_bytes(iv, "big")
+
+
+def _pack(blocks: List[int]) -> bytes:
+    return struct.pack(f">{len(blocks)}Q", *blocks)
+
+
 def ecb_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """Electronic-codebook encryption (used only for single blocks)."""
-    _check_blocks(plaintext, "plaintext")
-    encrypt = get_schedule(key).encrypt_block
-    out = bytearray(len(plaintext))
-    for i in range(0, len(plaintext), BLOCK_SIZE):
-        out[i:i + BLOCK_SIZE] = encrypt(plaintext[i:i + BLOCK_SIZE])
-    return bytes(out)
+    blocks = _blocks(plaintext, "plaintext")
+    rounds = get_schedule(key)._enc_rounds
+    return _pack([_crypt_int(block, rounds) for block in blocks])
 
 
 def ecb_decrypt(key: bytes, ciphertext: bytes) -> bytes:
-    _check_blocks(ciphertext, "ciphertext")
-    decrypt = get_schedule(key).decrypt_block
-    out = bytearray(len(ciphertext))
-    for i in range(0, len(ciphertext), BLOCK_SIZE):
-        out[i:i + BLOCK_SIZE] = decrypt(ciphertext[i:i + BLOCK_SIZE])
-    return bytes(out)
+    blocks = _blocks(ciphertext, "ciphertext")
+    rounds = get_schedule(key)._dec_rounds
+    return _pack([_crypt_int(block, rounds) for block in blocks])
 
 
 def cbc_encrypt(key: bytes, plaintext: bytes, iv: bytes = ZERO_IV) -> bytes:
     """Standard cipher-block chaining: ``C_i = E(P_i xor C_{i-1})``."""
-    _check_blocks(plaintext, "plaintext")
-    _check_iv(iv)
-    encrypt = get_schedule(key).encrypt_block
-    previous = iv
-    out = bytearray(len(plaintext))
-    for i in range(0, len(plaintext), BLOCK_SIZE):
-        previous = encrypt(xor_bytes(plaintext[i:i + BLOCK_SIZE], previous))
-        out[i:i + BLOCK_SIZE] = previous
-    return bytes(out)
+    blocks = _blocks(plaintext, "plaintext")
+    previous = _iv(iv)
+    rounds = get_schedule(key)._enc_rounds
+    out = []
+    for block in blocks:
+        previous = _crypt_int(block ^ previous, rounds)
+        out.append(previous)
+    return _pack(out)
 
 
 def cbc_decrypt(key: bytes, ciphertext: bytes, iv: bytes = ZERO_IV) -> bytes:
-    _check_blocks(ciphertext, "ciphertext")
-    _check_iv(iv)
-    decrypt = get_schedule(key).decrypt_block
-    previous = iv
-    out = bytearray(len(ciphertext))
-    for i in range(0, len(ciphertext), BLOCK_SIZE):
-        block = ciphertext[i:i + BLOCK_SIZE]
-        out[i:i + BLOCK_SIZE] = xor_bytes(decrypt(block), previous)
+    blocks = _blocks(ciphertext, "ciphertext")
+    previous = _iv(iv)
+    rounds = get_schedule(key)._dec_rounds
+    out = []
+    for block in blocks:
+        out.append(_crypt_int(block, rounds) ^ previous)
         previous = block
-    return bytes(out)
+    return _pack(out)
 
 
 def pcbc_encrypt(key: bytes, plaintext: bytes, iv: bytes = ZERO_IV) -> bytes:
@@ -144,31 +145,27 @@ def pcbc_encrypt(key: bytes, plaintext: bytes, iv: bytes = ZERO_IV) -> bytes:
     Kerberos V4 usage (where the IV was fixed and public — the paper's
     chosen-ciphertext hint).
     """
-    _check_blocks(plaintext, "plaintext")
-    _check_iv(iv)
-    encrypt = get_schedule(key).encrypt_block
-    chain = iv
-    out = bytearray(len(plaintext))
-    for i in range(0, len(plaintext), BLOCK_SIZE):
-        block = plaintext[i:i + BLOCK_SIZE]
-        encrypted = encrypt(xor_bytes(block, chain))
-        out[i:i + BLOCK_SIZE] = encrypted
-        chain = xor_bytes(block, encrypted)
-    return bytes(out)
+    blocks = _blocks(plaintext, "plaintext")
+    chain = _iv(iv)
+    rounds = get_schedule(key)._enc_rounds
+    out = []
+    for block in blocks:
+        encrypted = _crypt_int(block ^ chain, rounds)
+        out.append(encrypted)
+        chain = block ^ encrypted
+    return _pack(out)
 
 
 def pcbc_decrypt(key: bytes, ciphertext: bytes, iv: bytes = ZERO_IV) -> bytes:
-    _check_blocks(ciphertext, "ciphertext")
-    _check_iv(iv)
-    decrypt = get_schedule(key).decrypt_block
-    chain = iv
-    out = bytearray(len(ciphertext))
-    for i in range(0, len(ciphertext), BLOCK_SIZE):
-        block = ciphertext[i:i + BLOCK_SIZE]
-        plain = xor_bytes(decrypt(block), chain)
-        out[i:i + BLOCK_SIZE] = plain
-        chain = xor_bytes(plain, block)
-    return bytes(out)
+    blocks = _blocks(ciphertext, "ciphertext")
+    chain = _iv(iv)
+    rounds = get_schedule(key)._dec_rounds
+    out = []
+    for block in blocks:
+        plain = _crypt_int(block, rounds) ^ chain
+        out.append(plain)
+        chain = plain ^ block
+    return _pack(out)
 
 
 def add_confounder(plaintext: bytes, rng: SupportsRandomBytes) -> bytes:

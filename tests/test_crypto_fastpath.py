@@ -1,19 +1,22 @@
 """The table-driven DES fast path against the per-bit reference.
 
-The fast path in :mod:`repro.crypto.des` (byte-indexed IP/FP tables,
-paired SP tables, E folded into shifts over the 34-bit wraparound word)
-must compute *exactly* the function of the retained per-bit
-implementation in :mod:`repro.crypto.des_reference` — on the published
-vectors, on random keys and blocks, and through every mode of
-operation.  These tests are the contract that lets the rest of the
-package trust the optimisation blindly.
+The fast path in :mod:`repro.crypto.des` (byte-indexed IP/FP and
+PC-1/PC-2 tables, paired SP tables over the rotated-halves layout,
+cooked round keys) must compute *exactly* the function of the retained
+per-bit implementation in :mod:`repro.crypto.des_reference` — on the
+published vectors, on random keys and blocks, and through every mode of
+operation.  Its key schedule is also pinned to the reference's per-bit
+schedule and to the bitsliced backend's symbolic key wiring.  These
+tests are the contract that lets the rest of the package trust the
+optimisation blindly.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import des, des_reference, modes
+from repro.crypto import des, des_bitslice, des_reference, modes
+from repro.crypto.bits import xor_bytes
 from repro.crypto.des import (
     KeySchedule, clear_schedule_cache, decrypt_block, derive_subkeys,
     encrypt_block, get_schedule, schedule_cache_info,
@@ -68,29 +71,88 @@ def test_shared_subkeys_one_block_both_paths(key, block):
         des_reference.crypt_block(block, subkeys)
 
 
+def _bitslice_wiring_subkeys(key):
+    """The 16 subkeys read off ``des_bitslice._KS_SOURCE``: bit t of
+    round r's subkey is key bit ``_KS_SOURCE[r][t]`` (0-based, MSB first)."""
+    value = int.from_bytes(key, "big")
+    return tuple(
+        sum(((value >> (63 - src)) & 1) << (47 - t)
+            for t, src in enumerate(sources))
+        for sources in des_bitslice._KS_SOURCE
+    )
+
+
+def _assert_three_schedules_agree(key):
+    table = derive_subkeys(key)
+    assert table == des_reference.derive_subkeys(key)
+    assert table == _bitslice_wiring_subkeys(key)
+
+
+@given(key8, st.integers(min_value=0, max_value=255))
+@settings(max_examples=80, deadline=None)
+def test_three_key_schedules_agree(key, parity_flips):
+    """Table-driven, per-bit, and bitsliced-wiring schedules are one
+    function — and none of them reads a parity bit."""
+    _assert_three_schedules_agree(key)
+    flipped = bytes(b ^ ((parity_flips >> i) & 1) for i, b in enumerate(key))
+    _assert_three_schedules_agree(flipped)
+    assert derive_subkeys(flipped) == derive_subkeys(key)
+
+
+@pytest.mark.parametrize(
+    "key", sorted(des.WEAK_KEYS | des.SEMIWEAK_KEYS), ids=bytes.hex)
+def test_three_key_schedules_agree_on_weak_keys(key):
+    _assert_three_schedules_agree(key)
+
+
+def test_reference_schedule_rejects_bad_key_length():
+    with pytest.raises(des.DesError, match="DES key must be 8 bytes, got 7"):
+        des_reference.derive_subkeys(b"1234567")
+
+
+def _reference_chain(key, iv, data, decrypt, propagate):
+    """CBC (or PCBC with *propagate*) composed from reference blocks."""
+    block_op = (des_reference.decrypt_block if decrypt
+                else des_reference.encrypt_block)
+    out = bytearray()
+    chain = iv
+    for i in range(0, len(data), 8):
+        block = data[i:i + 8]
+        if decrypt:
+            result = xor_bytes(block_op(key, block), chain)
+            plain, cipher = result, block
+        else:
+            result = block_op(key, xor_bytes(block, chain))
+            plain, cipher = block, result
+        out += result
+        chain = xor_bytes(plain, cipher) if propagate else cipher
+    return bytes(out)
+
+
 @given(st.binary(min_size=0, max_size=120).map(modes.pad_zero), key8, key8)
 @settings(max_examples=30, deadline=None)
+@example(bytes(range(64)), bytes.fromhex("0123456789ABCDEF"),
+         bytes.fromhex("F0E1D2C3B4A59687"))
 def test_modes_match_reference_composition(plaintext, key, iv):
-    """CBC/PCBC built from reference block ops equal the cached fast
-    modes byte for byte."""
-    from repro.crypto.bits import xor_bytes
-
-    expected_cbc = bytearray()
-    prev = iv
-    for i in range(0, len(plaintext), 8):
-        prev = des_reference.encrypt_block(
-            key, xor_bytes(plaintext[i:i + 8], prev))
-        expected_cbc += prev
-    assert modes.cbc_encrypt(key, plaintext, iv) == bytes(expected_cbc)
-
-    expected_pcbc = bytearray()
-    chain = iv
-    for i in range(0, len(plaintext), 8):
-        block = plaintext[i:i + 8]
-        sealed = des_reference.encrypt_block(key, xor_bytes(block, chain))
-        expected_pcbc += sealed
-        chain = xor_bytes(block, sealed)
-    assert modes.pcbc_encrypt(key, plaintext, iv) == bytes(expected_pcbc)
+    """ECB/CBC/PCBC built from reference block ops equal the cached
+    fast modes byte for byte, in both directions."""
+    expected_ecb = b"".join(
+        des_reference.encrypt_block(key, plaintext[i:i + 8])
+        for i in range(0, len(plaintext), 8)
+    )
+    assert modes.ecb_encrypt(key, plaintext) == expected_ecb
+    assert modes.ecb_decrypt(key, plaintext) == b"".join(
+        des_reference.decrypt_block(key, plaintext[i:i + 8])
+        for i in range(0, len(plaintext), 8)
+    )
+    for propagate, encrypt, decrypt in (
+        (False, modes.cbc_encrypt, modes.cbc_decrypt),
+        (True, modes.pcbc_encrypt, modes.pcbc_decrypt),
+    ):
+        assert encrypt(key, plaintext, iv) == _reference_chain(
+            key, iv, plaintext, decrypt=False, propagate=propagate)
+        assert decrypt(key, plaintext, iv) == _reference_chain(
+            key, iv, plaintext, decrypt=True, propagate=propagate)
 
 
 @given(st.binary(min_size=0, max_size=120).map(modes.pad_zero), key8, key8)

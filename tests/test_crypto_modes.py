@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import modes
-from repro.crypto.des import BLOCK_SIZE, DesError
+from repro.crypto.des import BLOCK_OPS, BLOCK_SIZE, DesError
 from repro.crypto.rng import DeterministicRandom
 
 KEY = bytes.fromhex("133457799BBCDFF1")
@@ -132,3 +132,50 @@ def test_identical_plaintexts_identical_ciphertexts_without_confounder():
     a = modes.cbc_encrypt(KEY, b"secretmsg_pad__!")
     b = modes.cbc_encrypt(KEY, b"secretmsg_pad__!")
     assert a == b
+
+
+# Every mode and direction: (name, function, takes an IV).
+ALL_MODES = [
+    ("ecb_encrypt", modes.ecb_encrypt, False),
+    ("ecb_decrypt", modes.ecb_decrypt, False),
+    ("cbc_encrypt", modes.cbc_encrypt, True),
+    ("cbc_decrypt", modes.cbc_decrypt, True),
+    ("pcbc_encrypt", modes.pcbc_encrypt, True),
+    ("pcbc_decrypt", modes.pcbc_decrypt, True),
+]
+MODE_IDS = [name for name, _fn, _iv in ALL_MODES]
+
+
+@pytest.mark.parametrize("name,fn,takes_iv", ALL_MODES, ids=MODE_IDS)
+@pytest.mark.parametrize("blocks", [0, 1, 2, 17])
+def test_block_ops_delta_is_block_count(name, fn, takes_iv, blocks):
+    """E18's cost ledger: exactly one counted DES op per block."""
+    data = bytes(range(8 * blocks))
+    before = BLOCK_OPS.count
+    out = fn(KEY, data, b"\x5a" * 8) if takes_iv else fn(KEY, data)
+    assert BLOCK_OPS.count - before == blocks
+    assert len(out) == len(data)
+
+
+@pytest.mark.parametrize("name,fn,takes_iv", ALL_MODES, ids=MODE_IDS)
+@pytest.mark.parametrize("length", [1, 7, 9, 15])
+def test_misaligned_data_rejected(name, fn, takes_iv, length):
+    what = "plaintext" if name.endswith("encrypt") else "ciphertext"
+    before = BLOCK_OPS.count
+    with pytest.raises(DesError, match=(
+        f"^{what} length {length} is not a multiple of 8$"
+    )):
+        fn(KEY, b"x" * length)
+    assert BLOCK_OPS.count == before
+
+
+@pytest.mark.parametrize(
+    "name,fn,takes_iv", [m for m in ALL_MODES if m[2]],
+    ids=[name for name, _fn, iv in ALL_MODES if iv],
+)
+@pytest.mark.parametrize("iv_length", [0, 7, 9])
+def test_wrong_length_iv_rejected(name, fn, takes_iv, iv_length):
+    before = BLOCK_OPS.count
+    with pytest.raises(DesError, match=f"^IV must be 8 bytes, got {iv_length}$"):
+        fn(KEY, b"x" * 16, bytes(iv_length))
+    assert BLOCK_OPS.count == before
