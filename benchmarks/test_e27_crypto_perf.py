@@ -1,10 +1,10 @@
-"""E27 — crypto fast-path throughput and the parallel matrix.
+"""E27 — crypto fast-path throughput and the matrix timing.
 
 Not a paper claim: the paper's cost discussion (E18) is denominated in
 DES block *counts*, which this PR leaves bit-identical.  E27 instead
 guards the reproduction's own engineering floor: the table-driven block
-path must stay at least 5× the retained per-bit reference, and the
-process-pool matrix must render byte-identically to the serial one.
+path must stay at least 5× the retained per-bit reference.  It also
+records how long one serial run of the full evaluation matrix takes.
 """
 
 from repro.perf import bench_block_throughput, bench_matrix
@@ -13,7 +13,7 @@ from repro.analysis import render_table
 
 def run_perf_pair():
     block = bench_block_throughput(iterations=20_000, ref_iterations=2_000)
-    matrix = bench_matrix(parallel=4)
+    matrix = bench_matrix()
     return block, matrix
 
 
@@ -24,15 +24,11 @@ def test_e27_crypto_perf(benchmark, experiment_output):
         ("reference (blocks/s)", f"{block['reference_blocks_per_s']:,}"),
         ("speedup", f"{block['speedup']:.2f}x"),
         ("matrix serial (s)", f"{matrix['serial_seconds']:.3f}"),
-        (f"matrix parallel={matrix['parallel']} (s)",
-         f"{matrix['parallel_seconds']:.3f}"),
-        ("serial == parallel render", str(matrix['identical_render'])),
         ("matrix DES block ops", str(matrix['des_block_ops'])),
     ]
     experiment_output("e27_crypto_perf", render_table(
-        "E27: crypto fast path vs per-bit reference; parallel matrix",
+        "E27: crypto fast path vs per-bit reference; matrix timing",
         ["measure", "value"], table,
     ))
 
     assert block["speedup"] >= 5.0, block
-    assert matrix["identical_render"], matrix

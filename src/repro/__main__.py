@@ -9,7 +9,7 @@ Commands:
 * ``audit``       — re-run one scenario with defender telemetry attached
   and print the event log, metrics, and detectability verdict;
 * ``perf``        — micro-benchmark the crypto fast path, the modes, a
-  full exchange, and the (serial vs parallel) matrix, writing
+  full exchange, and the matrix, writing
   ``BENCH_crypto.json``;
 * ``crack``       — benchmark the paper's offline dictionary attack
   against recorded AS replies, table-driven vs bitsliced backends,
@@ -22,8 +22,7 @@ Commands:
   wire cleartext, reporting text, JSON, or SARIF 2.1.0
   (``--consistency`` pins the verdicts dynamically — attack-matrix
   agreement, a same-seed double run asserting byte-identical
-  reports, or a planted-canary-key artifact scan;
-  ``--jobs N`` parallelises the scan);
+  reports, or a planted-canary-key artifact scan);
 * ``check``       — re-derive the attack matrix symbolically with the
   bounded Dolev-Yao model checker: attack traces in the paper's
   notation for vulnerable cells, exhausted searches with named closing
@@ -81,7 +80,7 @@ _EXPERIMENTS = [
     ("E24", "passive adversary's haul", "test_e24_adversary_haul.py"),
     ("E25", "rogue transit realm", "test_e25_rogue_realm.py"),
     ("E26", "hardened-profile ablation", "test_e26_ablation.py"),
-    ("E27", "crypto fast path + parallel matrix", "test_e27_crypto_perf.py"),
+    ("E27", "crypto fast path + matrix timing", "test_e27_crypto_perf.py"),
     ("E28", "sharded KDC under load", "test_e28_kdc_load.py"),
 ]
 
@@ -141,10 +140,9 @@ def _cmd_perf(args) -> int:
 
     print("benchmarking the crypto fast path"
           + (" (quick)" if args.quick else "") + "...\n")
-    report = run_perf(quick=args.quick, parallel=args.parallel,
-                      out_path=args.out)
+    report = run_perf(quick=args.quick, out_path=args.out)
     print(render_report(report))
-    return 0 if report["matrix"]["identical_render"] else 1
+    return 0
 
 
 def _cmd_crack(args) -> int:
@@ -273,8 +271,6 @@ def _cmd_lint(args) -> int:
         root=args.root,
         consistency=args.consistency,
         write_baseline_path=args.write_baseline,
-        parallel=args.parallel,
-        jobs=args.jobs,
     )
 
 
@@ -286,7 +282,6 @@ def _cmd_check(args) -> int:
         column=args.column,
         out=args.out,
         consistency=args.consistency,
-        parallel=args.parallel,
         max_rounds=args.max_rounds,
         seed=args.seed,
     )
@@ -441,10 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="CI-smoke sizes: a few seconds instead of ~a minute",
     )
     perf.add_argument(
-        "--parallel", type=int, default=4,
-        help="worker count for the parallel matrix timing (default: 4)",
-    )
-    perf.add_argument(
         "--out", default="BENCH_crypto.json", metavar="PATH",
         help="benchmark report path (default: BENCH_crypto.json)",
     )
@@ -532,20 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--consistency", action="store_true",
         help="also pin the verdicts dynamically: attack-matrix "
-             "agreement for the protocol family (~1 min serial), a "
+             "agreement for the protocol family, a "
              "same-seed double run of the scale-mode load harness "
              "asserting byte-identical reports for the sim family, a "
              "canary-key witness scanning every emitted artifact for "
              "unsealed key bytes for the crypto family",
-    )
-    lint.add_argument(
-        "--parallel", type=int, default=None,
-        help="worker processes for the --consistency matrix run",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the per-file source scan "
-             "(byte-identical output)",
     )
     check = sub.add_parser(
         "check", help="re-derive the attack matrix with the bounded "
@@ -567,11 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--consistency", action="store_true",
         help="also run the live attack matrix and the linter, asserting "
-             "all three verdicts agree cell by cell (~1 min serial)",
-    )
-    check.add_argument(
-        "--parallel", type=int, default=None,
-        help="worker processes for the --consistency matrix run",
+             "all three verdicts agree cell by cell",
     )
     check.add_argument(
         "--max-rounds", type=int, default=64,

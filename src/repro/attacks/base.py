@@ -27,8 +27,7 @@ class AttackResult:
 
     ``block_ops`` is the number of DES block operations the whole cell
     executed (attacker, KDC, and servers together), measured from
-    :data:`repro.crypto.des.BLOCK_OPS` by ``run_attack_matrix`` — in a
-    parallel run, captured inside the worker process and merged back.
+    :data:`repro.crypto.des.BLOCK_OPS` by ``run_attack_matrix``.
     ``None`` means the run was not metered.
 
     ``anomaly_traces`` refines ``detectability`` by causal trace: when
@@ -37,8 +36,7 @@ class AttackResult:
     :func:`repro.obs.audit.trace_digests`), pointing from each detected
     anomaly back to the exact request — client retry chain, shard hop,
     or adversary injection — that carried it.  ``None`` means untraced;
-    it is never rendered in the matrix, so serial and parallel renders
-    stay byte-identical.
+    it is never rendered in the matrix.
     """
 
     name: str

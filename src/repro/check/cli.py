@@ -52,7 +52,6 @@ def run_check(
     column: str = "all",
     out: Optional[str] = None,
     consistency: bool = False,
-    parallel: Optional[int] = None,
     max_rounds: int = 64,
     seed: int = 1000,
     echo: Printer = print,
@@ -89,9 +88,9 @@ def run_check(
 
         echo("")
         echo("tri-consistency harness: checker vs. lint vs. the live "
-             "attack matrix (deterministic, ~1 min serial)...")
+             "attack matrix (deterministic)...")
         report_obj = check_tri_consistency(
-            columns=columns, cells=cells, seed=seed, parallel=parallel,
+            columns=columns, cells=cells, seed=seed,
         )
         echo(report_obj.render())
         if report_obj.disagreements():

@@ -90,13 +90,11 @@ def check_tri_consistency(
     code_model: Optional[CodeModel] = None,
     cells: Optional[Sequence[CheckCell]] = None,
     seed: int = 1000,
-    parallel: Optional[int] = None,
 ) -> TriReport:
     """Pin checker, linter, and live matrix to each other per cell.
 
     Runs the full live matrix when *matrix* is not supplied
-    (deterministic, roughly a minute serial; ``parallel=N`` fans the
-    cells out).  Scenarios without both a ``property_id`` and mapped
+    (deterministic).  Scenarios without both a ``property_id`` and mapped
     ``rule_ids`` are skipped — the mapping decides coverage.
     """
     from repro.suite import DEFAULT_COLUMNS, SCENARIOS, MatrixResult
@@ -107,8 +105,7 @@ def check_tri_consistency(
     if code_model is None:
         code_model = analyze_repro()
     if matrix is None:
-        matrix = run_attack_matrix(columns=columns, seed=seed,
-                                   parallel=parallel)
+        matrix = run_attack_matrix(columns=columns, seed=seed)
     assert isinstance(matrix, MatrixResult)
     if cells is None:
         cells = evaluate_matrix(columns=columns)

@@ -25,7 +25,7 @@ from repro.lint.baseline import (
     BaselineError, find_stale, load_baseline_entries, split_by_baseline,
     write_baseline,
 )
-from repro.lint.engine import CodeModel, analyze_repro, analyze_tree
+from repro.lint.engine import DEFAULT_EXCLUDES, analyze_scans
 from repro.lint.findings import Finding, Severity
 from repro.lint.reporters import render_json, render_sarif, render_text
 from repro.lint.rules import (
@@ -134,8 +134,6 @@ def run_lint(
     root: Optional[str] = None,
     consistency: bool = False,
     write_baseline_path: Optional[str] = None,
-    parallel: Optional[int] = None,
-    jobs: Optional[int] = None,
     family: str = "protocol",
     echo: Printer = print,
 ) -> int:
@@ -144,9 +142,8 @@ def run_lint(
     ``family`` selects the rule famil(ies): ``protocol`` (default),
     ``sim`` (determinism / scheduler-safety over the simulation stack),
     ``crypto`` (key-material flow into output surfaces), or ``all`` —
-    note the families scan different subtrees.
-    ``jobs=N`` fans the per-file scan out over N worker processes
-    (byte-identical output; see :func:`repro.lint.engine.analyze_tree`).
+    note the families scan different subtrees, but ``all`` parses each
+    file once (see :func:`repro.lint.engine.analyze_scans`).
     """
     if family not in FAMILIES:
         echo(f"unknown family {family!r}; choose protocol, sim, crypto, "
@@ -165,26 +162,18 @@ def run_lint(
             return 2
         columns = resolved
 
-    protocol_model: Optional[CodeModel] = None
-    sim_model: Optional[CodeModel] = None
-    crypto_model: Optional[CodeModel] = None
-    if want_protocol:
-        protocol_model = (analyze_repro(jobs=jobs) if root is None
-                          else analyze_tree(Path(root), jobs=jobs))
-    if want_sim:
-        sim_model = (
-            analyze_repro(exclude=SIM_SCAN_EXCLUDES, jobs=jobs)
-            if root is None
-            else analyze_tree(Path(root), exclude=SIM_SCAN_EXCLUDES,
-                              jobs=jobs))
-    if want_crypto:
-        crypto_model = (
-            analyze_repro(exclude=CRYPTO_SCAN_EXCLUDES, jobs=jobs)
-            if root is None
-            else analyze_tree(Path(root), exclude=CRYPTO_SCAN_EXCLUDES,
-                              jobs=jobs))
-    for model in (protocol_model, sim_model, crypto_model):
-        if model is not None and model.errors:
+    scans = {name: exclude for name, exclude, wanted in (
+        ("protocol", DEFAULT_EXCLUDES, want_protocol),
+        ("sim", SIM_SCAN_EXCLUDES, want_sim),
+        ("crypto", CRYPTO_SCAN_EXCLUDES, want_crypto),
+    ) if wanted}
+    models = dict(zip(scans, analyze_scans(
+        None if root is None else Path(root), list(scans.values()))))
+    protocol_model = models.get("protocol")
+    sim_model = models.get("sim")
+    crypto_model = models.get("crypto")
+    for model in models.values():
+        if model.errors:
             for error in model.errors:
                 echo(f"parse error: {error}")
             return 2
@@ -272,10 +261,9 @@ def run_lint(
 
         echo("")
         echo("consistency harness: lint verdicts vs. the attack matrix "
-             "(deterministic, ~1 min serial)...")
+             "(deterministic)...")
         report_obj = check_consistency(columns=columns,
-                                       model=protocol_model,
-                                       parallel=parallel)
+                                       model=protocol_model)
         echo(report_obj.render())
         if report_obj.disagreements():
             exit_code = 1

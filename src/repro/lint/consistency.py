@@ -93,12 +93,11 @@ def check_consistency(
     columns: Optional[Sequence[Tuple[str, ProtocolConfig]]] = None,
     model: Optional[CodeModel] = None,
     seed: int = 1000,
-    parallel: Optional[int] = None,
 ) -> ConsistencyReport:
     """Compare lint verdicts with attack-matrix outcomes, cell by cell.
 
-    Runs the full matrix when *matrix* is not supplied (deterministic,
-    roughly a minute serial).  Scenarios with no mapped rules are
+    Runs the full matrix when *matrix* is not supplied (deterministic).
+    Scenarios with no mapped rules are
     skipped — the mapping, not the harness, decides coverage.
     """
     from repro.suite import DEFAULT_COLUMNS, SCENARIOS, MatrixResult
@@ -109,8 +108,7 @@ def check_consistency(
     if model is None:
         model = analyze_repro()
     if matrix is None:
-        matrix = run_attack_matrix(columns=columns, seed=seed,
-                                   parallel=parallel)
+        matrix = run_attack_matrix(columns=columns, seed=seed)
     assert isinstance(matrix, MatrixResult)
 
     checks: List[CellCheck] = []

@@ -61,19 +61,19 @@ would likewise move anchors.  Unit tests
 point the engine at throwaway trees of minimal vulnerable/fixed
 snippets instead.
 
-Scanning is embarrassingly parallel per file: with ``jobs=N`` the
-entry points fan the per-file analyses out over a process pool and
-merge the partial models back in sorted-file order, so the resulting
-:class:`CodeModel` — and every report rendered from it — is
-byte-identical to a serial run's.
+Each file is analysed into its own partial :class:`CodeModel`, and a
+scan's model is those parts concatenated in sorted-file order.  So
+:func:`analyze_scans` can build several models with different exclude
+sets (one per lint family) from a single parse of each file, and every
+model is identical to the one a separate scan would build.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "SecretFlow", "ConfigRead", "CallSite", "DottedCall", "YieldSite",
@@ -82,7 +82,8 @@ __all__ = [
     "SecretRaise", "SecretDefault", "DictLiteralKey", "FunctionInfo",
     "ClassAttr", "ClassInfo", "CodeModel", "is_secret_name",
     "is_crypto_secret_name", "CRYPTO_SANITIZERS", "CRYPTO_SINK_CALLEES",
-    "analyze_source", "analyze_tree", "analyze_repro", "DEFAULT_EXCLUDES",
+    "analyze_source", "analyze_tree", "analyze_repro", "analyze_scans",
+    "DEFAULT_EXCLUDES",
 ]
 
 #: Subtrees skipped when scanning ``src/repro`` (see module docstring).
@@ -526,11 +527,9 @@ class CodeModel:
 
 
 def _config_field_names() -> FrozenSet[str]:
-    from dataclasses import fields as dc_fields
-
     from repro.kerberos.config import ProtocolConfig
 
-    return frozenset(f.name for f in dc_fields(ProtocolConfig))
+    return frozenset(f.name for f in fields(ProtocolConfig))
 
 
 #: Callables whose result does not depend on iteration order: reducers
@@ -1343,87 +1342,68 @@ def analyze_source(source: str, file: str, model: CodeModel,
 
 def _merge_model(into: CodeModel, part: CodeModel) -> None:
     """Append one file's partial model; caller controls the order."""
-    into.files.extend(part.files)
-    into.flows.extend(part.flows)
-    into.config_reads.extend(part.config_reads)
-    into.calls.extend(part.calls)
-    into.dotted_calls.extend(part.dotted_calls)
-    into.yields.extend(part.yields)
-    into.timer_creates.extend(part.timer_creates)
-    into.timer_cancels.extend(part.timer_cancels)
-    into.unordered_flows.extend(part.unordered_flows)
-    into.crypto_flows.extend(part.crypto_flows)
-    into.secret_returns.extend(part.secret_returns)
-    into.sink_inner_calls.extend(part.sink_inner_calls)
-    into.secret_formats.extend(part.secret_formats)
-    into.secret_compares.extend(part.secret_compares)
-    into.secret_raises.extend(part.secret_raises)
-    into.secret_defaults.extend(part.secret_defaults)
-    into.dict_literal_keys.extend(part.dict_literal_keys)
-    into.functions.extend(part.functions)
-    into.classes.extend(part.classes)
-    into.errors.extend(part.errors)
+    for model_field in fields(CodeModel):
+        getattr(into, model_field.name).extend(
+            getattr(part, model_field.name))
 
 
-def _file_worker(payload: Tuple[str, str, FrozenSet[str]]) -> CodeModel:
-    """Process-pool entry point: analyze one file into a fresh model."""
-    path, recorded, config_fields = payload
-    model = CodeModel()
-    analyze_source(Path(path).read_text(encoding="utf-8"), recorded, model,
-                   config_fields)
-    return model
+def _scan(root: Path, excludes: Sequence[Sequence[str]],
+          prefix: str) -> List[CodeModel]:
+    config_fields = _config_field_names()
+    parts: Dict[Path, CodeModel] = {}
+    models: List[CodeModel] = []
+    paths = sorted(root.rglob("*.py"))
+    for exclude in excludes:
+        excluded = set(exclude)
+        model = CodeModel()
+        for path in paths:
+            relative = path.relative_to(root)
+            if relative.parts and relative.parts[0] in excluded:
+                continue
+            if len(relative.parts) == 1 and relative.stem in excluded:
+                continue
+            part = parts.get(path)
+            if part is None:
+                part = parts[path] = CodeModel()
+                analyze_source(path.read_text(encoding="utf-8"),
+                               prefix + relative.as_posix(), part,
+                               config_fields)
+            _merge_model(model, part)
+        models.append(model)
+    return models
 
 
 def analyze_tree(root: Path,
                  exclude: Sequence[str] = DEFAULT_EXCLUDES,
-                 prefix: str = "",
-                 jobs: Optional[int] = None) -> CodeModel:
+                 prefix: str = "") -> CodeModel:
     """Analyze every ``*.py`` under *root*.
 
     *exclude* names top-level subdirectories (``check``) or top-level
     modules (``load``, matching ``load.py``) of *root* to skip; *prefix*
     is prepended to every recorded (root-relative) path so findings can
     anchor repo-relative (e.g. ``src/repro/``).
-
-    With ``jobs=N`` (N > 1) the per-file analyses fan out over a process
-    pool of N workers; the partial models are merged back in the same
-    sorted-file order the serial walk uses, so the result is identical.
     """
-    model = CodeModel()
-    config_fields = _config_field_names()
-    excluded = set(exclude)
-    targets: List[Tuple[str, str]] = []
-    for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(root)
-        if relative.parts and relative.parts[0] in excluded:
-            continue
-        if len(relative.parts) == 1 and relative.stem in excluded:
-            continue
-        targets.append((str(path), prefix + relative.as_posix()))
-
-    if jobs is not None and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [(path, recorded, config_fields)
-                    for path, recorded in targets]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_file_worker, payloads):
-                _merge_model(model, part)
-        return model
-
-    for path, recorded in targets:
-        analyze_source(Path(path).read_text(encoding="utf-8"), recorded,
-                       model, config_fields)
-    return model
+    return _scan(root, [exclude], prefix)[0]
 
 
-def analyze_repro(exclude: Sequence[str] = DEFAULT_EXCLUDES,
-                  jobs: Optional[int] = None) -> CodeModel:
-    """Analyze the installed ``repro`` package itself."""
+def analyze_scans(root: Optional[Path],
+                  excludes: Sequence[Sequence[str]]) -> List[CodeModel]:
+    """One model per exclude set, parsing each file at most once.
+
+    ``root=None`` scans the installed ``repro`` package and records
+    ``src/repro/`` paths (as :func:`analyze_repro` does); any other
+    *root* records root-relative paths (as :func:`analyze_tree` does).
+    """
+    if root is not None:
+        return _scan(root, excludes, "")
     import repro
 
     package_file = repro.__file__
     if package_file is None:  # pragma: no cover - namespace-package guard
         raise RuntimeError("cannot locate the repro package on disk")
-    return analyze_tree(Path(package_file).parent, exclude=exclude,
-                        prefix="src/repro/", jobs=jobs)
+    return _scan(Path(package_file).parent, excludes, "src/repro/")
+
+
+def analyze_repro(exclude: Sequence[str] = DEFAULT_EXCLUDES) -> CodeModel:
+    """Analyze the installed ``repro`` package itself."""
+    return analyze_scans(None, [exclude])[0]

@@ -42,7 +42,7 @@ from repro.obs.audit import (
     ANOMALY_KINDS, AuditTrail, ExchangeSpan, build_spans,
     correlate_with_wire_log, detectability_digest, render_events,
 )
-from repro.obs.bus import EventBus, capture, reset_captures
+from repro.obs.bus import EventBus, capture
 from repro.obs.events import (
     ClockSkewReject, DecryptFailure, Event, ExchangeComplete,
     LintFinding, LoginAttempt, PolicyReject, PreauthFailure,
@@ -70,6 +70,6 @@ __all__ = [
     "WireCrossing", "build_spans",
     "capture", "chrome_trace", "correlate_with_wire_log",
     "detectability_digest", "event_from_dict", "percentile_of",
-    "read_jsonl", "render_events", "reset_captures", "span_forest",
+    "read_jsonl", "render_events", "span_forest",
     "validate_traces", "write_chrome_trace",
 ]

@@ -13,14 +13,12 @@ four layers every experiment ultimately spends its cycles in —
   of sealing tickets and KRB_PRIV payloads);
 * a full protocol exchange (login + service ticket + AP exchange +
   private messages — E18's canonical workload);
-* the attack×protocol evaluation matrix, serial and parallel, including
-  a byte-identity check between the two renders —
+* the attack×protocol evaluation matrix —
 
 and writes the numbers to ``BENCH_crypto.json`` so the benchmark
 trajectory of the repository is populated run over run.  Unlike
 everything else in the package the timings are, of course, not
-deterministic; the *shape* of the report is, and the identity check
-inside it must always hold.
+deterministic; the *shape* of the report is.
 
 The service-layer companion — latency percentiles and throughput for
 the sharded KDC under an open-loop workload, written to
@@ -168,42 +166,23 @@ def bench_exchange(runs: int = 5) -> Dict[str, Any]:
     }
 
 
-def bench_matrix(parallel: int = 4,
-                 scenario_count: Optional[int] = None) -> Dict[str, Any]:
-    """Time the evaluation matrix serially and with a worker pool.
-
-    Also asserts the acceptance property the parallel path must keep:
-    the two runs render byte-identical matrices (outcomes, detect
-    column, DES-op counts) and leave the global op counter in the same
-    state.
-    """
+def bench_matrix(scenario_count: Optional[int] = None) -> Dict[str, Any]:
+    """Time one run of the evaluation matrix and count its DES ops."""
     scenarios: Sequence = SCENARIOS
     if scenario_count is not None:
         scenarios = SCENARIOS[:scenario_count]
     BLOCK_OPS.reset()
     start = time.perf_counter()
-    serial = run_attack_matrix(scenarios=scenarios)
-    serial_elapsed = time.perf_counter() - start
-    serial_ops = BLOCK_OPS.reset()
-
-    start = time.perf_counter()
-    fanned = run_attack_matrix(scenarios=scenarios, parallel=parallel)
-    parallel_elapsed = time.perf_counter() - start
-    parallel_ops = BLOCK_OPS.reset()
-
-    identical = (serial.render() == fanned.render()
-                 and serial_ops == parallel_ops)
+    matrix = run_attack_matrix(scenarios=scenarios)
+    elapsed = time.perf_counter() - start
     return {
-        "cells": len(serial.cells),
-        "parallel": parallel,
-        "serial_seconds": round(serial_elapsed, 3),
-        "parallel_seconds": round(parallel_elapsed, 3),
-        "des_block_ops": serial_ops,
-        "identical_render": identical,
+        "cells": len(matrix.cells),
+        "serial_seconds": round(elapsed, 3),
+        "des_block_ops": BLOCK_OPS.reset(),
     }
 
 
-def run_perf(quick: bool = False, parallel: int = 4,
+def run_perf(quick: bool = False,
              out_path: Optional[str] = "BENCH_crypto.json",
              block_iterations: Optional[int] = None,
              ref_iterations: Optional[int] = None,
@@ -224,7 +203,7 @@ def run_perf(quick: bool = False, parallel: int = 4,
         defaults = dict(block=50_000, ref=5_000, payload=65_536, runs=5,
                         scenarios=None, lanes=1024, lane_repeats=4)
     report: Dict[str, Any] = {
-        "schema": "repro-bench-crypto/1",
+        "schema": "repro-bench-crypto/2",
         "quick": quick,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -246,7 +225,6 @@ def run_perf(quick: bool = False, parallel: int = 4,
             else defaults["runs"],
         ),
         "matrix": bench_matrix(
-            parallel=parallel,
             scenario_count=matrix_scenarios if matrix_scenarios is not None
             else defaults["scenarios"],
         ),
@@ -289,10 +267,7 @@ def render_report(report: Dict[str, Any]) -> str:
         f" {exchange['wire_messages_per_exchange']} wire msgs each)",
         "",
         f"attack matrix    serial  {matrix['serial_seconds']:>7.3f}s"
-        f"   parallel={matrix['parallel']}  {matrix['parallel_seconds']:>7.3f}s"
         f"   ({matrix['cells']} cells, {matrix['des_block_ops']} DES ops)",
-        "                 serial/parallel renders byte-identical:"
-        f" {matrix['identical_render']}",
     ]
     if "written_to" in report:
         lines += ["", f"wrote {report['written_to']}"]

@@ -83,13 +83,11 @@ def test_every_mapped_rule_exists():
             assert rule_id in RULES_BY_ID, (scenario.name, rule_id)
 
 
-def test_cli_sim_consistency_runs_the_determinism_witness():
+def test_cli_sim_consistency_runs_the_determinism_witness(
+        sim_witness_run):
     """`lint --family sim --consistency` over the live tree: the clean
     static scan and the byte-identical double run must agree."""
-    from repro.lint.cli import run_lint
-
-    lines = []
-    code = run_lint(family="sim", consistency=True, echo=lines.append)
+    code, lines, _report = sim_witness_run
     text = "\n".join(lines)
     assert code == 0, text
     assert "determinism harness" in text

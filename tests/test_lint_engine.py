@@ -1,9 +1,18 @@
 """The lint engine: taint tracking, config reads, tree scanning."""
 
+from pathlib import Path
+
+import repro
+from repro.lint import engine
+from repro.lint.cli import run_lint
+from repro.lint.cryptorules import CRYPTO_SCAN_EXCLUDES
 from repro.lint.engine import (
-    CodeModel, DEFAULT_EXCLUDES, analyze_source, analyze_tree,
-    is_secret_name,
+    CodeModel, DEFAULT_EXCLUDES, analyze_repro, analyze_scans,
+    analyze_source, analyze_tree, is_secret_name,
 )
+from repro.lint.simrules import SIM_SCAN_EXCLUDES
+
+FAMILY_EXCLUDES = [DEFAULT_EXCLUDES, SIM_SCAN_EXCLUDES, CRYPTO_SCAN_EXCLUDES]
 
 
 def model_of(source, file="snippet.py"):
@@ -200,6 +209,56 @@ def test_analyze_tree_prefix(tmp_path):
     (tmp_path / "a.py").write_text("x = 1\n")
     model = analyze_tree(tmp_path, prefix="src/repro/")
     assert model.files == ["src/repro/a.py"]
+
+
+def test_check_subtree_is_excluded_from_the_scan():
+    """The checker reads config fields; scanning it would shift every
+    lint anchor and invalidate the committed baseline."""
+    model = analyze_repro()
+    assert not any(f.startswith("src/repro/check/") for f in model.files)
+    assert any(f.startswith("src/repro/kerberos/") for f in model.files)
+
+
+def test_analyze_scans_applies_each_exclude_set(tmp_path):
+    (tmp_path / "core").mkdir()
+    (tmp_path / "serve").mkdir()
+    (tmp_path / "a.py").write_text("import os\n")
+    (tmp_path / "core" / "b.py").write_text("x = 1\n")
+    (tmp_path / "serve" / "c.py").write_text("y = 2\n")
+    protocol, sim = analyze_scans(tmp_path, [DEFAULT_EXCLUDES, ("attacks",)])
+    assert protocol.files == ["a.py", "core/b.py"]
+    assert sim.files == ["a.py", "core/b.py", "serve/c.py"]
+
+
+def test_shared_scan_matches_one_model_per_family():
+    """Building every family's model from one parse per file gives the
+    same facts as analysing that family's files into a single model."""
+    package = Path(repro.__file__).parent
+    for shared in analyze_scans(None, FAMILY_EXCLUDES):
+        direct = CodeModel()
+        for file in shared.files:
+            source = (package / file[len("src/repro/"):]).read_text(
+                encoding="utf-8")
+            analyze_source(source, file, direct)
+        assert repr(direct) == repr(shared)
+
+
+def test_family_all_parses_each_file_once(monkeypatch):
+    scanned = set()
+    for exclude in FAMILY_EXCLUDES:
+        scanned.update(analyze_repro(exclude=exclude).files)
+    parsed = []
+    original = engine.analyze_source
+
+    def counting(source, file, *args):
+        parsed.append(file)
+        original(source, file, *args)
+
+    monkeypatch.setattr(engine, "analyze_source", counting)
+    code = run_lint(family="all", fmt="sarif",
+                    baseline="lint-baseline.json", echo=lambda line: None)
+    assert code == 0
+    assert sorted(parsed) == sorted(scanned)
 
 
 def test_syntax_error_recorded_not_raised():

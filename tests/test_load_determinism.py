@@ -4,14 +4,12 @@ The acceptance bar for the whole determinism family is dynamic: run
 ``load --principals 20000 --quick`` twice in-process with the same seed
 and the serialized reports (on their deterministic surface — wall-time
 throughput lines are informational by contract) must be byte-identical.
-These tests drive :mod:`repro.lint.simconsistency` directly, including
-the canonicalisation rules the comparison depends on.
+These tests cover :mod:`repro.lint.simconsistency` and the
+canonicalisation rules the comparison depends on; the witness run
+itself comes from the suite-wide ``sim_witness_run`` fixture.
 """
 
-from repro.lint.simconsistency import (
-    DeterminismReport, canonical_report_bytes, check_determinism,
-)
-from repro.load import run_load
+from repro.lint.simconsistency import DeterminismReport, canonical_report_bytes
 
 
 def test_canonical_bytes_strip_the_nondeterministic_surface():
@@ -32,20 +30,12 @@ def test_canonical_bytes_are_order_independent():
         canonical_report_bytes({"b": 2, "a": 1})
 
 
-def test_scale_reports_byte_identical_across_runs():
-    """The satellite's core claim: two same-seed 20k-principal quick
-    runs serialize identically byte for byte."""
-    runs = [
-        canonical_report_bytes(
-            run_load(principals=20000, seed=0, quick=True, out_path=None)
-        )
-        for _ in range(2)
-    ]
-    assert runs[0] == runs[1]
-
-
-def test_check_determinism_agrees_on_clean_tree():
-    report = check_determinism(static_findings=0)
+def test_check_determinism_agrees_on_clean_tree(sim_witness_run):
+    """Two same-seed 20k-principal quick runs serialize identically
+    byte for byte, and the clean static scan agrees."""
+    _code, _lines, report = sim_witness_run
+    assert (report.principals, report.seed) == (20000, 0)
+    assert report.static_findings == 0
     assert report.identical, report.first_divergence
     assert report.agrees
     assert "byte-identical" in report.render()

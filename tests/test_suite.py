@@ -65,3 +65,25 @@ def test_matrix_is_deterministic():
     b = run_attack_matrix(scenarios=SCENARIOS[:2])
     assert {k: v.succeeded for k, v in a.cells.items()} == \
         {k: v.succeeded for k, v in b.cells.items()}
+
+
+def test_every_cell_is_metered(matrix):
+    assert all(cell.block_ops is not None and cell.block_ops > 0
+               for cell in matrix.cells.values())
+
+
+def test_serial_cells_independent_of_run_order(matrix):
+    """A cell's DES-op count is a property of the cell, not of what ran
+    before it in the same process (the guess-memo isolation)."""
+    name = "TGT harvest + crack"
+    index = [s.name for s in SCENARIOS].index(name)  # its seed slot
+    alone = run_attack_matrix(columns=[("v4", ProtocolConfig.v4())],
+                              scenarios=[SCENARIOS[index]],
+                              seed=1000 + index)
+    assert alone.cells[(name, "v4")].block_ops == \
+        matrix.cells[(name, "v4")].block_ops
+
+
+def test_default_columns_unchanged():
+    assert [label for label, _ in DEFAULT_COLUMNS] == \
+        ["v4", "v5-draft3", "hardened"]
