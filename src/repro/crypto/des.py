@@ -10,30 +10,46 @@ CBC, the propagation behaviour of PCBC, and so on.
 
 The implementation follows FIPS 46-3: initial/final permutations, 16
 Feistel rounds with the E expansion, the eight S-boxes, the P
-permutation, and the PC-1/PC-2 key schedule.  The standard software-DES
-table layout is compiled at import, without changing the function
-computed:
+permutation, and the PC-1/PC-2 key schedule.  A software-DES table
+layout is compiled at import, without changing the function computed:
 
-* both Feistel halves are kept rotated right by 3 between IP and FP
-  (the IP and FP byte tables absorb the rotation).  Then ``u = R`` holds
-  the E windows of S-boxes 1/3/5/7 at bits 24-29, 16-21, 8-13 and 0-5,
-  and ``t = rotl(R, 4)`` those of boxes 2/4/6/8, so E is one rotation;
+* between IP and FP both Feistel halves are rotated right by 3 and
+  *doubled*: bits 0-1 appear again at bits 32-33.  Then ``w = R ^ k1``
+  holds the E windows of S-boxes 1/3/5/7 at bits 24-29, 16-21, 8-13 and
+  0-5, and ``x = R ^ k2`` those of boxes 8/2/4/6 at bits 28-33, 20-25,
+  12-17 and 4-9, so no window wraps and E costs nothing;
 * the S-boxes are fused with P and paired behind one ``& 0x3F3F``
-  index each — four 16,192-slot tables (4,096 live entries each, the
-  unreachable slots share the int ``0``) — so a round is four lookups;
-* round keys are cooked into matching ``(ku, kt)`` words when a schedule
-  is built, and :func:`_crypt_int` runs two rounds per loop iteration,
-  so the halves never swap;
-* IP, FP, PC-1 and PC-2 are byte-indexed tables (:func:`_byte_tables`,
-  filled by lowest-set-bit doubling), and the 28-bit C/D rotations run
-  on the 56-bit ``C·D`` word at once.
+  index each (1·3 and 5·7 on ``w``; 8·2 at ``>> 20`` and 4·6 at ``>> 4``
+  on ``x``) — four 16,192-slot tables whose entries are already in the
+  doubled layout, so a round is four lookups;
+* round keys are cooked into matching ``(k1, k2)`` words when a schedule
+  is built, and the rounds loop runs two rounds per iteration, so the
+  halves never swap;
+* PC-1 and PC-2 are byte-indexed tables (:func:`_byte_tables`, filled
+  by lowest-set-bit doubling), and the 28-bit C/D rotations run on the
+  56-bit ``C·D`` word at once.
 
-:func:`_crypt_int` (64-bit int in, 64-bit int out) is the one block
-function; :mod:`repro.crypto.modes` calls it directly on unpacked ints,
-and :func:`_crypt_block` is its bytes wrapper.  The per-bit path the
-tables replace — block function and key schedule — is retained in
-:mod:`repro.crypto.des_reference`; property tests cross-check the two on
-the FIPS/Rivest vectors and on random keys and blocks.
+:func:`_crypt_message` is the one entry point of the block function: it
+takes a whole message (and, for CBC/PCBC encryption, the IV) and returns
+the whole result, counting one :data:`BLOCK_OPS` op per block.  Chaining
+runs in the IP domain, and IP and FP take one of two strategies, chosen
+by message length alone (:data:`WHOLE_MESSAGE_MIN_BLOCKS`):
+
+* short messages (:func:`_crypt_tables`) look IP and FP up per block in
+  8×256 byte tables that absorb the round layout;
+* long messages (:func:`_crypt_lanes`) permute the whole message at once
+  on one int (:func:`_ip_lanes`, :func:`_fp_lanes`): IP is a per-byte
+  bit permutation (one ``bytes.translate``), an 8×8 bit-matrix
+  anti-transpose (three delta swaps) and the rotation, each applied to
+  every 64-bit lane together.
+
+:mod:`repro.crypto.modes` calls :func:`_crypt_message`;
+:func:`_crypt_block` is its one-block wrapper behind
+:func:`encrypt_block`, :func:`decrypt_block` and :class:`DesCipher`.
+The per-bit path the tables replace — block function and key schedule —
+is retained in :mod:`repro.crypto.des_reference`; property tests
+cross-check the two on the FIPS/Rivest vectors, on random keys and
+blocks, and on messages either side of the strategy crossover.
 
 Key schedules are memoised in a bounded module-level cache
 (:func:`get_schedule`): the protocol layers encrypt and decrypt under
@@ -48,8 +64,10 @@ Verified against the FIPS / Rivest test vectors in
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.bits import permute
 
@@ -57,6 +75,7 @@ __all__ = [
     "BLOCK_SIZE",
     "KEY_SIZE",
     "SCHEDULE_CACHE_SIZE",
+    "WHOLE_MESSAGE_MIN_BLOCKS",
     "WEAK_KEYS",
     "SEMIWEAK_KEYS",
     "DesError",
@@ -303,30 +322,53 @@ def _rotr3(word: int) -> int:
     return ((word >> 3) | (word << 29)) & 0xFFFFFFFF
 
 
-#: IP and FP with the rotated-halves layout folded in: IP's two output
-#: halves come out rotated right by 3, and FP rotates them back first.
-_IP_TAB = _byte_tables(
-    _images(tuple(_IP[_half_shift(k, -3) - 1] for k in range(1, 65)), 64)
-)
+_M32 = 0xFFFFFFFF
+_M34 = (1 << 34) - 1
+
+
+def _doubled(half: int) -> int:
+    """A rotated 32-bit half in the round layout: bits 0-1 again at 32-33."""
+    return half | ((half & 3) << 32)
+
+
+def _split_doubled(word: int) -> int:
+    """A rotated-halves word ``L·R`` as ``doubled(L) << 34 | doubled(R)``."""
+    return (_doubled(word >> 32) << 34) | _doubled(word & _M32)
+
+
+#: IP and FP with the round layout folded in: IP's two output halves come
+#: out rotated right by 3 and doubled, as one 68-bit word; FP takes the
+#: rotated halves ``R·L`` (bits 32-33 masked off) and rotates them back.
+_IP_TAB = _byte_tables([
+    _split_doubled(image) for image in _images(
+        tuple(_IP[_half_shift(k, -3) - 1] for k in range(1, 65)), 64)
+])
 _FP_TAB = _byte_tables(_images(tuple(_half_shift(s, 3) for s in _FP), 64))
 
 
 def _pair_table(high: int, low: int) -> Tuple[int, ...]:
     """S-boxes *high* and *low* (0-based) behind one ``& 0x3F3F`` index:
-    slot ``(x << 8) | y`` holds their rotated SP outputs for inputs x, y.
-    The 12,096 slots no index reaches hold the shared int ``0``."""
+    slot ``(x << 8) | y`` holds their SP outputs for inputs x, y, in the
+    round layout.  The 12,096 slots no index reaches hold the shared
+    int ``0``."""
     table = [0] * 0x3F40
-    lows = [_rotr3(out) for out in _SP[low]]
+    lows = [_doubled(_rotr3(out)) for out in _SP[low]]
     for x, out_x in enumerate(_SP[high]):
-        base, out_x = x << 8, _rotr3(out_x)
+        base, out_x = x << 8, _doubled(_rotr3(out_x))
         for y, out_y in enumerate(lows):
             table[base | y] = out_x ^ out_y
     return tuple(table)
 
 
-#: Boxes 1·3 and 5·7 read ``u``; boxes 2·4 and 6·8 read ``t``.
+#: Boxes 1·3 and 5·7 read ``w`` at ``>> 16`` and ``>> 0``; boxes 8·2 and
+#: 4·6 read ``x`` at ``>> 20`` and ``>> 4``.
 _SP_PAIRS = (_pair_table(0, 2), _pair_table(4, 6),
-             _pair_table(1, 3), _pair_table(5, 7))
+             _pair_table(7, 1), _pair_table(3, 5))
+
+#: Lowest bit of each S-box's E window in the round layout.  Boxes
+#: 1/3/5/7 sit in ``w``, boxes 2/4/6/8 in ``x``; box 8's window is bits
+#: 28-33, the doubled bits, so no window wraps.
+_WINDOWS = (24, 20, 16, 12, 8, 4, 0, 28)
 
 #: The key schedule as byte tables: PC-1 (64 -> 56 bits), PC-2 (56 -> 48).
 _PC1_TAB = _byte_tables(_images(_PC1, 64))
@@ -346,16 +388,16 @@ _KS_STEPS = tuple(
 
 
 def _cook_images() -> List[int]:
-    """Subkey bit -> its place in the cooked word ``(ku << 32) | kt``.
+    """Subkey bit -> its place in the cooked word ``(k1 << 34) | k2``.
 
-    Box *i*'s six key bits sit under its E window: boxes 1/3/5/7 in
-    ``ku`` and boxes 2/4/6/8 in ``kt``, at bits 24-29, 16-21, 8-13, 0-5.
+    Box *i*'s six key bits sit under its E window (:data:`_WINDOWS`):
+    boxes 1/3/5/7 in ``k1``, boxes 2/4/6/8 in ``k2``.
     """
     images = []
     for n in range(48):
         box, bit = divmod(n, 6)
-        word = 32 if box % 2 == 0 else 0
-        images.append(1 << (word + 24 - 8 * (box // 2) + 5 - bit))
+        word = 34 if box % 2 == 0 else 0
+        images.append(1 << (word + _WINDOWS[box] + 5 - bit))
     return images
 
 
@@ -392,14 +434,14 @@ def derive_subkeys(key: bytes) -> Tuple[int, ...]:
     return tuple(subkeys)
 
 
-#: Cooked round keys, two rounds per entry: ``(ku, kt, ku', kt')``.
+#: Cooked round keys, two rounds per entry: ``(k1, k2, k1', k2')``.
 _Rounds = Tuple[Tuple[int, int, int, int], ...]
 
 
 def _pair_rounds(cooked: Sequence[int]) -> _Rounds:
-    """Split cooked words ``(ku << 32) | kt`` into two-round entries."""
+    """Split cooked words ``(k1 << 34) | k2`` into two-round entries."""
     return tuple(
-        (a >> 32, a & 0xFFFFFFFF, b >> 32, b & 0xFFFFFFFF)
+        (a >> 34, a & _M34, b >> 34, b & _M34)
         for a, b in zip(cooked[0::2], cooked[1::2])
     )
 
@@ -419,54 +461,204 @@ class _OpCounter:
 BLOCK_OPS = _OpCounter()
 
 
-def _crypt_int(value: int, rounds: _Rounds) -> int:
-    """One block operation on a 64-bit int, all table-driven.
+# --- the message kernel ----------------------------------------------------
+
+#: Messages of at least this many blocks take IP and FP lane-wise over
+#: the whole message; shorter ones look them up per block.  Measured
+#: with ``tools/des_crossover.py`` on a 2-vCPU Xeon under CPython 3.11:
+#: the whole-message path costs ~2.7 µs more per call (int and struct
+#: conversions, the lane masks) and ~0.8 µs less per block, so it ties
+#: at 3 blocks and wins from 4 on (``docs/performance.md``).
+WHOLE_MESSAGE_MIN_BLOCKS = 4
+
+
+def _bit_order(perm: Sequence[int]) -> bytes:
+    """The ``bytes.translate`` table that permutes the bits of each byte:
+    output bit *c* (0 = most significant) is input bit ``perm[c]``."""
+    return bytes(_byte_tables(_images([src + 1 for src in perm], 8))[0])
+
+
+# Read a block as an 8x8 bit matrix, one byte per row, most significant
+# bit first.  IP builds output row r from input column
+# ``(_IP[8r] - 1) % 8`` (1, 3, 5, 7, 0, 2, 4, 6), reading the bytes last
+# to first.  So IP is a per-byte bit permutation that moves that column
+# to column 7 - r, followed by an anti-transpose (the transpose across
+# the anti-diagonal, which sends column 7 - r to row r and byte b to
+# column 7 - b).  FP undoes the two in reverse order.
+_IP_COLUMNS = [(_IP[8 * (7 - c)] - 1) % 8 for c in range(8)]
+_IP_BYTES = _bit_order(_IP_COLUMNS)
+_FP_BYTES = _bit_order([_IP_COLUMNS.index(c) for c in range(8)])
+
+
+@lru_cache(maxsize=256)
+def _lane_masks(blocks: int) -> Tuple[int, ...]:
+    """The 64-bit lane masks of the whole-message IP/FP, each repeated
+    once per block: the anti-transpose's three delta swaps (by 9, 18 and
+    36 bits), then the masks that rotate each 32-bit half right by 3 and
+    left by 3."""
+    lanes = int.from_bytes(b"\0\0\0\0\0\0\0\1" * blocks, "big")
+    return tuple(mask * lanes for mask in (
+        0x0055005500550055, 0x0000333300003333, 0x000000000F0F0F0F,
+        0x1FFFFFFF1FFFFFFF, 0xE0000000E0000000,
+        0xFFFFFFF8FFFFFFF8, 0x0000000700000007,
+    ))
+
+
+def _crypt_message(data: bytes, rounds: _Rounds, iv: Optional[int] = None,
+                   propagate: bool = False) -> bytes:
+    """DES over every block of *data*: the one entry point of the block
+    function.
+
+    With an *iv* (a 64-bit int) each block is XORed before encryption
+    with the previous ciphertext block (CBC), or with the previous
+    plaintext and ciphertext blocks if *propagate* (PCBC).  That
+    chaining runs in the IP domain, where it is the same XOR because IP
+    is a bit permutation.  Decryption is the unchained call; the modes
+    chain its output.  ``len(data)`` must be a multiple of 8; it picks
+    the IP/FP strategy (:data:`WHOLE_MESSAGE_MIN_BLOCKS`), never the
+    result.
+    """
+    blocks = len(data) >> 3
+    BLOCK_OPS.count += blocks
+    chain_l = chain_r = 0
+    if iv:
+        ip = _IP_TAB
+        start = (
+            ip[0][iv >> 56] | ip[1][(iv >> 48) & 0xFF]
+            | ip[2][(iv >> 40) & 0xFF] | ip[3][(iv >> 32) & 0xFF]
+            | ip[4][(iv >> 24) & 0xFF] | ip[5][(iv >> 16) & 0xFF]
+            | ip[6][(iv >> 8) & 0xFF] | ip[7][iv & 0xFF]
+        )
+        chain_l = start >> 34
+        chain_r = start & _M34
+    if blocks < WHOLE_MESSAGE_MIN_BLOCKS:
+        return _crypt_tables(data, blocks, rounds, iv is not None, propagate,
+                             chain_l, chain_r)
+    return _crypt_lanes(data, rounds, iv is not None, propagate,
+                        chain_l, chain_r)
+
+
+def _crypt_tables(data: bytes, blocks: int, rounds: _Rounds, chained: bool,
+                  propagate: bool, chain_l: int, chain_r: int) -> bytes:
+    """:func:`_crypt_message` for short messages: IP and FP as eight
+    byte-table hits per block.
 
     Two Feistel rounds per iteration, so the halves never swap.  Each
-    round XORs the cooked key into ``u = R`` and ``t = rotl(R, 4)``
-    (both halves stay rotated right by 3 between IP and FP) and resolves
-    the eight S-boxes with four ``& 0x3F3F`` pair-table hits.
+    round XORs the cooked keys into ``w = R ^ k1`` and ``x = R ^ k2`` and
+    resolves the eight S-boxes with four ``& 0x3F3F`` pair-table hits.
     """
-    BLOCK_OPS.count += 1
-    ip = _IP_TAB
-    value = (
-        ip[0][value >> 56] | ip[1][(value >> 48) & 0xFF]
-        | ip[2][(value >> 40) & 0xFF] | ip[3][(value >> 32) & 0xFF]
-        | ip[4][(value >> 24) & 0xFF] | ip[5][(value >> 16) & 0xFF]
-        | ip[6][(value >> 8) & 0xFF] | ip[7][value & 0xFF]
-    )
-    left = value >> 32
-    right = value & 0xFFFFFFFF
+    ip0, ip1, ip2, ip3, ip4, ip5, ip6, ip7 = _IP_TAB
+    fp0, fp1, fp2, fp3, fp4, fp5, fp6, fp7 = _FP_TAB
     sp0, sp1, sp2, sp3 = _SP_PAIRS
-    for ku, kt, ku2, kt2 in rounds:
-        u = right ^ ku
-        t = ((right << 4) | (right >> 28)) ^ kt
-        left ^= (
-            sp0[(u >> 16) & 0x3F3F] ^ sp1[u & 0x3F3F]
-            ^ sp2[(t >> 16) & 0x3F3F] ^ sp3[t & 0x3F3F]
+    out: List[int] = []
+    for value in struct.unpack(f">{blocks}Q", data):
+        value = (
+            ip0[value >> 56] | ip1[(value >> 48) & 0xFF]
+            | ip2[(value >> 40) & 0xFF] | ip3[(value >> 32) & 0xFF]
+            | ip4[(value >> 24) & 0xFF] | ip5[(value >> 16) & 0xFF]
+            | ip6[(value >> 8) & 0xFF] | ip7[value & 0xFF]
         )
-        u = left ^ ku2
-        t = ((left << 4) | (left >> 28)) ^ kt2
-        right ^= (
-            sp0[(u >> 16) & 0x3F3F] ^ sp1[u & 0x3F3F]
-            ^ sp2[(t >> 16) & 0x3F3F] ^ sp3[t & 0x3F3F]
+        in_l = value >> 34
+        in_r = value & 0x3FFFFFFFF
+        left = in_l ^ chain_l
+        right = in_r ^ chain_r
+        for k1, k2, k3, k4 in rounds:
+            w = right ^ k1
+            x = right ^ k2
+            left ^= (
+                sp0[(w >> 16) & 0x3F3F] ^ sp1[w & 0x3F3F]
+                ^ sp2[(x >> 20) & 0x3F3F] ^ sp3[(x >> 4) & 0x3F3F]
+            )
+            w = left ^ k3
+            x = left ^ k4
+            right ^= (
+                sp0[(w >> 16) & 0x3F3F] ^ sp1[w & 0x3F3F]
+                ^ sp2[(x >> 20) & 0x3F3F] ^ sp3[(x >> 4) & 0x3F3F]
+            )
+        # The output swap is folded into the order of (right, left) here.
+        out.append(
+            fp0[(right >> 24) & 0xFF] | fp1[(right >> 16) & 0xFF]
+            | fp2[(right >> 8) & 0xFF] | fp3[right & 0xFF]
+            | fp4[(left >> 24) & 0xFF] | fp5[(left >> 16) & 0xFF]
+            | fp6[(left >> 8) & 0xFF] | fp7[left & 0xFF]
         )
-    # The output swap is folded into the order of (right, left) here.
-    pre = (right << 32) | left
-    fp = _FP_TAB
-    return (
-        fp[0][pre >> 56] | fp[1][(pre >> 48) & 0xFF]
-        | fp[2][(pre >> 40) & 0xFF] | fp[3][(pre >> 32) & 0xFF]
-        | fp[4][(pre >> 24) & 0xFF] | fp[5][(pre >> 16) & 0xFF]
-        | fp[6][(pre >> 8) & 0xFF] | fp[7][pre & 0xFF]
-    )
+        if chained:
+            chain_l = right ^ in_l if propagate else right
+            chain_r = left ^ in_r if propagate else left
+    return struct.pack(f">{blocks}Q", *out)
+
+
+def _ip_lanes(data: bytes) -> Tuple[int, ...]:
+    """IP on every block of *data* at once: the IP-domain halves ``L, R``
+    of each block in turn, each rotated right by 3 (not doubled)."""
+    blocks = len(data) >> 3
+    anti9, anti18, anti36, low29, high3, _high29, _low3 = _lane_masks(blocks)
+    words = int.from_bytes(data.translate(_IP_BYTES), "big")
+    swap = ((words >> 9) ^ words) & anti9
+    words ^= swap ^ (swap << 9)
+    swap = ((words >> 18) ^ words) & anti18
+    words ^= swap ^ (swap << 18)
+    swap = ((words >> 36) ^ words) & anti36
+    words ^= swap ^ (swap << 36)
+    words = ((words >> 3) & low29) | ((words << 29) & high3)
+    return struct.unpack(f">{2 * blocks}I", words.to_bytes(8 * blocks, "big"))
+
+
+def _fp_lanes(halves: Sequence[int]) -> bytes:
+    """FP on every block at once, the inverse of :func:`_ip_lanes`:
+    *halves* are each block's rotated 32-bit pre-FP halves in turn."""
+    blocks = len(halves) >> 1
+    anti9, anti18, anti36, _low29, _high3, high29, low3 = _lane_masks(blocks)
+    words = int.from_bytes(struct.pack(f">{2 * blocks}I", *halves), "big")
+    words = ((words << 3) & high29) | ((words >> 29) & low3)
+    swap = ((words >> 36) ^ words) & anti36
+    words ^= swap ^ (swap << 36)
+    swap = ((words >> 18) ^ words) & anti18
+    words ^= swap ^ (swap << 18)
+    swap = ((words >> 9) ^ words) & anti9
+    words ^= swap ^ (swap << 9)
+    return words.to_bytes(8 * blocks, "big").translate(_FP_BYTES)
+
+
+def _crypt_lanes(data: bytes, rounds: _Rounds, chained: bool,
+                 propagate: bool, chain_l: int, chain_r: int) -> bytes:
+    """:func:`_crypt_message` for long messages: IP and FP run lane-wise
+    over the whole message (:func:`_ip_lanes`, :func:`_fp_lanes`), and
+    the rounds loop reads and writes IP-domain halves.  Same rounds as
+    :func:`_crypt_tables`."""
+    halves = iter(_ip_lanes(data))
+    sp0, sp1, sp2, sp3 = _SP_PAIRS
+    out: List[int] = []
+    for in_l, in_r in zip(halves, halves):
+        in_l |= (in_l & 3) << 32
+        in_r |= (in_r & 3) << 32
+        left = in_l ^ chain_l
+        right = in_r ^ chain_r
+        for k1, k2, k3, k4 in rounds:
+            w = right ^ k1
+            x = right ^ k2
+            left ^= (
+                sp0[(w >> 16) & 0x3F3F] ^ sp1[w & 0x3F3F]
+                ^ sp2[(x >> 20) & 0x3F3F] ^ sp3[(x >> 4) & 0x3F3F]
+            )
+            w = left ^ k3
+            x = left ^ k4
+            right ^= (
+                sp0[(w >> 16) & 0x3F3F] ^ sp1[w & 0x3F3F]
+                ^ sp2[(x >> 20) & 0x3F3F] ^ sp3[(x >> 4) & 0x3F3F]
+            )
+        out += (right & 0xFFFFFFFF, left & 0xFFFFFFFF)
+        if chained:
+            chain_l = right ^ in_l if propagate else right
+            chain_r = left ^ in_r if propagate else left
+    return _fp_lanes(out)
 
 
 def _crypt_block(block: bytes, rounds: _Rounds) -> bytes:
-    """:func:`_crypt_int` on one 8-byte block."""
+    """:func:`_crypt_message` on one 8-byte block."""
     if len(block) != BLOCK_SIZE:
         raise DesError(f"DES block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    return _crypt_int(int.from_bytes(block, "big"), rounds).to_bytes(8, "big")
+    return _crypt_message(block, rounds)
 
 
 # --- the key-schedule cache ------------------------------------------------

@@ -44,6 +44,8 @@ from repro.crypto.des import (
 
 __all__ = [
     "derive_subkeys",
+    "initial_permutation",
+    "final_permutation",
     "crypt_block",
     "encrypt_block",
     "decrypt_block",
@@ -74,17 +76,27 @@ def _feistel(right: int, subkey: int) -> int:
     return out
 
 
+def initial_permutation(value: int) -> int:
+    """IP on one 64-bit block, bit by bit."""
+    return permute(value, 64, _IP)
+
+
+def final_permutation(value: int) -> int:
+    """FP (IP's inverse) on one 64-bit block, bit by bit."""
+    return permute(value, 64, _FP)
+
+
 def crypt_block(block: bytes, subkeys: Sequence[int]) -> bytes:
     """One DES block operation with per-bit IP/E/FP permutations."""
     if len(block) != BLOCK_SIZE:
         raise DesError(f"DES block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    value = permute(bytes_to_int(block), 64, _IP)
+    value = initial_permutation(bytes_to_int(block))
     left = value >> 32
     right = value & 0xFFFFFFFF
     for subkey in subkeys:
         left, right = right, left ^ _feistel(right, subkey)
     # Final swap is folded into the order of (right, left) here.
-    return int_to_bytes(permute((right << 32) | left, 64, _FP), 8)
+    return int_to_bytes(final_permutation((right << 32) | left), 8)
 
 
 def encrypt_block(key: bytes, block: bytes) -> bytes:

@@ -25,12 +25,7 @@ from typing import Dict, List, Sequence
 
 from repro.crypto import modes
 from repro.crypto.bits import transpose_in, transpose_out
-from repro.crypto.des import (
-    BLOCK_SIZE,
-    DesCipher,
-    is_weak_key,
-    set_odd_parity,
-)
+from repro.crypto.des import BLOCK_SIZE, is_weak_key, set_odd_parity
 
 __all__ = ["KeyTag", "TaggedKey", "string_to_key", "string_to_key_many"]
 
@@ -121,14 +116,7 @@ def string_to_key(password: str, salt: str = "") -> bytes:
 
     # CBC checksum of the padded password, keyed with the fan-fold key and
     # using it as IV; the final ciphertext block becomes the key.
-    cipher = DesCipher(folded)
-    chain = folded
-    for i in range(0, len(padded), BLOCK_SIZE):
-        block = bytes(
-            a ^ b for a, b in zip(padded[i:i + BLOCK_SIZE], chain)
-        )
-        chain = cipher.encrypt_block(block)
-
+    chain = modes.cbc_encrypt(folded, padded, folded)[-BLOCK_SIZE:]
     return _finalize_key(chain)
 
 

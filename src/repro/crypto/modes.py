@@ -19,24 +19,29 @@ The modes here are the protagonists of two of the paper's attacks:
 All functions take and return raw ``bytes``; inputs must already be padded
 to a multiple of the 8-byte block size (see :func:`pad_zero` /
 :func:`pad_random`).  Every mode routes through the module-level key
-schedule cache (:func:`repro.crypto.des.get_schedule`) and works in the
-int domain: one ``struct.unpack`` turns the whole message into 64-bit
-ints, each block goes through :func:`repro.crypto.des._crypt_int`,
-chaining is plain int XOR, and one ``struct.pack`` assembles the output.
-No block is sliced, XORed as bytes, or converted on its own, so repeated
-calls under the same key — the common case three protocol layers deep —
-cost only block operations.  Confounders — the random leading block
-Version 5 prepends so that identical plaintexts encrypt differently —
-are provided as explicit helpers because the paper argues they belong in
-the encryption layer, not the protocol layer.
+schedule cache (:func:`repro.crypto.des.get_schedule`) and makes one
+call to the DES message kernel (:func:`repro.crypto.des._crypt_message`)
+per message.  ECB is the kernel alone.  CBC and PCBC encryption hand the
+kernel the IV, and it chains inside its block loop, in the IP domain.
+Decryption needs no chaining to run the blocks, so the kernel decrypts
+the whole message unchained and the chaining is applied afterwards:
+for CBC one int XOR against the ciphertext shifted down a block, and
+for PCBC that plus a log-step prefix XOR (:func:`_unchain`).  No block
+is sliced or converted on its own, so repeated calls under the same
+key — the common case three protocol layers deep — cost only block
+operations.
+
+Confounders — the random leading block Version 5 prepends so that
+identical plaintexts encrypt differently — are provided as explicit
+helpers because the paper argues they belong in the encryption layer,
+not the protocol layer.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import List, Protocol, Tuple
+from typing import Protocol
 
-from repro.crypto.des import BLOCK_SIZE, DesError, _crypt_int, get_schedule
+from repro.crypto.des import BLOCK_SIZE, DesError, _crypt_message, get_schedule
 
 __all__ = [
     "SupportsRandomBytes",
@@ -83,13 +88,11 @@ def pad_random(data: bytes, rng: SupportsRandomBytes) -> bytes:
     return data + rng.random_bytes(BLOCK_SIZE - remainder)
 
 
-def _blocks(data: bytes, what: str) -> Tuple[int, ...]:
-    """The message as 64-bit big-endian ints, one per block."""
+def _require_aligned(data: bytes, what: str) -> None:
     if len(data) % BLOCK_SIZE:
         raise DesError(
             f"{what} length {len(data)} is not a multiple of {BLOCK_SIZE}"
         )
-    return struct.unpack(f">{len(data) // BLOCK_SIZE}Q", data)
 
 
 def _iv(iv: bytes) -> int:
@@ -98,44 +101,48 @@ def _iv(iv: bytes) -> int:
     return int.from_bytes(iv, "big")
 
 
-def _pack(blocks: List[int]) -> bytes:
-    return struct.pack(f">{len(blocks)}Q", *blocks)
+def _unchain(decrypted: bytes, ciphertext: bytes, iv: bytes,
+             propagate: bool) -> bytes:
+    """Chain a whole decrypted message at once.
+
+    CBC XORs block i with ciphertext block i-1 (the IV for block 0): one
+    int XOR against the ciphertext shifted down a block.  PCBC further
+    XORs in plaintext block i-1, so plaintext block i is the XOR of that
+    result's blocks 0..i: a prefix XOR, computed in log2(blocks) steps.
+    """
+    value = (int.from_bytes(decrypted, "big")
+             ^ int.from_bytes((iv + ciphertext)[:len(ciphertext)], "big"))
+    if propagate:
+        shift, width = 64, 8 * len(ciphertext)
+        while shift < width:
+            value ^= value >> shift
+            shift <<= 1
+    return value.to_bytes(len(ciphertext), "big")
 
 
 def ecb_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """Electronic-codebook encryption (used only for single blocks)."""
-    blocks = _blocks(plaintext, "plaintext")
-    rounds = get_schedule(key)._enc_rounds
-    return _pack([_crypt_int(block, rounds) for block in blocks])
+    _require_aligned(plaintext, "plaintext")
+    return _crypt_message(plaintext, get_schedule(key)._enc_rounds)
 
 
 def ecb_decrypt(key: bytes, ciphertext: bytes) -> bytes:
-    blocks = _blocks(ciphertext, "ciphertext")
-    rounds = get_schedule(key)._dec_rounds
-    return _pack([_crypt_int(block, rounds) for block in blocks])
+    _require_aligned(ciphertext, "ciphertext")
+    return _crypt_message(ciphertext, get_schedule(key)._dec_rounds)
 
 
 def cbc_encrypt(key: bytes, plaintext: bytes, iv: bytes = ZERO_IV) -> bytes:
     """Standard cipher-block chaining: ``C_i = E(P_i xor C_{i-1})``."""
-    blocks = _blocks(plaintext, "plaintext")
-    previous = _iv(iv)
-    rounds = get_schedule(key)._enc_rounds
-    out = []
-    for block in blocks:
-        previous = _crypt_int(block ^ previous, rounds)
-        out.append(previous)
-    return _pack(out)
+    _require_aligned(plaintext, "plaintext")
+    start = _iv(iv)
+    return _crypt_message(plaintext, get_schedule(key)._enc_rounds, start)
 
 
 def cbc_decrypt(key: bytes, ciphertext: bytes, iv: bytes = ZERO_IV) -> bytes:
-    blocks = _blocks(ciphertext, "ciphertext")
-    previous = _iv(iv)
-    rounds = get_schedule(key)._dec_rounds
-    out = []
-    for block in blocks:
-        out.append(_crypt_int(block, rounds) ^ previous)
-        previous = block
-    return _pack(out)
+    _require_aligned(ciphertext, "ciphertext")
+    _iv(iv)
+    decrypted = _crypt_message(ciphertext, get_schedule(key)._dec_rounds)
+    return _unchain(decrypted, ciphertext, iv, propagate=False)
 
 
 def pcbc_encrypt(key: bytes, plaintext: bytes, iv: bytes = ZERO_IV) -> bytes:
@@ -145,27 +152,17 @@ def pcbc_encrypt(key: bytes, plaintext: bytes, iv: bytes = ZERO_IV) -> bytes:
     Kerberos V4 usage (where the IV was fixed and public — the paper's
     chosen-ciphertext hint).
     """
-    blocks = _blocks(plaintext, "plaintext")
-    chain = _iv(iv)
-    rounds = get_schedule(key)._enc_rounds
-    out = []
-    for block in blocks:
-        encrypted = _crypt_int(block ^ chain, rounds)
-        out.append(encrypted)
-        chain = block ^ encrypted
-    return _pack(out)
+    _require_aligned(plaintext, "plaintext")
+    start = _iv(iv)
+    return _crypt_message(plaintext, get_schedule(key)._enc_rounds, start,
+                          propagate=True)
 
 
 def pcbc_decrypt(key: bytes, ciphertext: bytes, iv: bytes = ZERO_IV) -> bytes:
-    blocks = _blocks(ciphertext, "ciphertext")
-    chain = _iv(iv)
-    rounds = get_schedule(key)._dec_rounds
-    out = []
-    for block in blocks:
-        plain = _crypt_int(block, rounds) ^ chain
-        out.append(plain)
-        chain = plain ^ block
-    return _pack(out)
+    _require_aligned(ciphertext, "ciphertext")
+    _iv(iv)
+    decrypted = _crypt_message(ciphertext, get_schedule(key)._dec_rounds)
+    return _unchain(decrypted, ciphertext, iv, propagate=True)
 
 
 def add_confounder(plaintext: bytes, rng: SupportsRandomBytes) -> bytes:

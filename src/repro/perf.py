@@ -10,7 +10,9 @@ four layers every experiment ultimately spends its cycles in —
   :mod:`repro.crypto.des_bitslice` at batch width (the speedup
   *batching* buys on top);
 * block-mode throughput (ECB/CBC/PCBC over a working buffer, the cost
-  of sealing tickets and KRB_PRIV payloads);
+  of sealing tickets and KRB_PRIV payloads, and over 2-block messages,
+  the checksum shape — the two sides of the DES kernel's IP/FP
+  crossover);
 * a full protocol exchange (login + service ticket + AP exchange +
   private messages — E18's canonical workload);
 * the attack×protocol evaluation matrix —
@@ -43,6 +45,7 @@ __all__ = [
     "bench_block_throughput",
     "bench_bitslice_throughput",
     "bench_mode_throughput",
+    "bench_message_throughput",
     "bench_exchange",
     "bench_matrix",
     "run_perf",
@@ -128,10 +131,21 @@ def bench_bitslice_throughput(lanes: int = 1024,
 
 
 def bench_mode_throughput(payload_bytes: int = 65_536,
-                          repeats: int = 3) -> Dict[str, Any]:
-    """Bulk mode throughput in MB/s over a zero-padded working buffer."""
+                          repeats: int = 3,
+                          short_blocks: int = 2,
+                          short_repeats: int = 2_000) -> Dict[str, Any]:
+    """Mode throughput: bulk MB/s over a zero-padded working buffer, and
+    messages/s for *short_blocks*-block messages.
+
+    The two shapes take different IP/FP strategies in the DES kernel
+    (whole-message vs per-block tables, split at
+    :data:`repro.crypto.des.WHOLE_MESSAGE_MIN_BLOCKS`); a 2-block CBC
+    message is the md4-des checksum shape.
+    """
     payload = modes.pad_zero(bytes(range(256)) * (payload_bytes // 256 or 1))
-    report: Dict[str, Any] = {"payload_bytes": len(payload)}
+    short = bytes(range(8 * short_blocks))
+    report: Dict[str, Any] = {"payload_bytes": len(payload),
+                              "short_message_bytes": len(short)}
     for name, encrypt, decrypt in (
         ("ecb", modes.ecb_encrypt, modes.ecb_decrypt),
         ("cbc", modes.cbc_encrypt, modes.cbc_decrypt),
@@ -145,7 +159,61 @@ def bench_mode_throughput(payload_bytes: int = 65_536,
         # Each repeat moves the payload through the cipher twice.
         mb = 2 * repeats * len(payload) / (1024 * 1024)
         report[f"{name}_mb_per_s"] = round(mb / elapsed, 3) if elapsed else 0.0
+
+        start = time.perf_counter()
+        for _ in range(short_repeats):
+            decrypt(_BENCH_KEY, encrypt(_BENCH_KEY, short))
+        elapsed = time.perf_counter() - start
+        # One message is one encryption or one decryption.
+        report[f"{name}_short_msgs_per_s"] = (
+            round(2 * short_repeats / elapsed) if elapsed else 0
+        )
     return report
+
+
+def _reference_pcbc_encrypt(subkeys: Sequence[int], plaintext: bytes) -> bytes:
+    """PCBC with a zero IV composed block by block from the per-bit
+    reference cipher."""
+    out = bytearray()
+    chain = 0
+    for offset in range(0, len(plaintext), 8):
+        block = int.from_bytes(plaintext[offset:offset + 8], "big")
+        cipher = des_reference.crypt_block((block ^ chain).to_bytes(8, "big"),
+                                           subkeys)
+        out += cipher
+        chain = block ^ int.from_bytes(cipher, "big")
+    return bytes(out)
+
+
+def bench_message_throughput(payload_bytes: int = 1024, iterations: int = 40,
+                             ref_iterations: int = 2) -> Dict[str, Any]:
+    """PCBC encryption of whole *payload_bytes* messages per second, the
+    mode call vs the reference cipher composed block by block.
+
+    This is the exchange workload's KRB_PRIV shape.  Both sides use a
+    pre-derived schedule, so the ratio covers the message kernel (IP/FP
+    strategy, chaining, rounds), not schedule caching.
+    """
+    payload = modes.pad_zero(bytes(range(256)) * (payload_bytes // 256 or 1))
+    schedule = des.get_schedule(_BENCH_KEY)
+    start = time.perf_counter()
+    for _ in range(iterations):
+        modes.pcbc_encrypt(_BENCH_KEY, payload)
+    fast_elapsed = time.perf_counter() - start
+
+    start = time.perf_counter()
+    for _ in range(ref_iterations):
+        _reference_pcbc_encrypt(schedule.subkeys, payload)
+    ref_elapsed = time.perf_counter() - start
+
+    fast = iterations / fast_elapsed if fast_elapsed else float("inf")
+    ref = ref_iterations / ref_elapsed if ref_elapsed else float("inf")
+    return {
+        "payload_bytes": len(payload),
+        "fast_msgs_per_s": round(fast, 1),
+        "reference_msgs_per_s": round(ref, 2),
+        "speedup": round(fast / ref, 2),
+    }
 
 
 def bench_exchange(runs: int = 5) -> Dict[str, Any]:
@@ -198,12 +266,13 @@ def run_perf(quick: bool = False,
     """
     if quick:
         defaults = dict(block=8_000, ref=800, payload=8_192, runs=2,
-                        scenarios=4, lanes=256, lane_repeats=2)
+                        scenarios=4, lanes=256, lane_repeats=2, short=400)
     else:
         defaults = dict(block=50_000, ref=5_000, payload=65_536, runs=5,
-                        scenarios=None, lanes=1024, lane_repeats=4)
+                        scenarios=None, lanes=1024, lane_repeats=4,
+                        short=2_000)
     report: Dict[str, Any] = {
-        "schema": "repro-bench-crypto/2",
+        "schema": "repro-bench-crypto/3",
         "quick": quick,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -219,6 +288,7 @@ def run_perf(quick: bool = False,
         "modes": bench_mode_throughput(
             payload_bytes if payload_bytes is not None
             else defaults["payload"],
+            short_repeats=defaults["short"],
         ),
         "exchange": bench_exchange(
             exchange_runs if exchange_runs is not None
@@ -261,6 +331,10 @@ def render_report(report: Dict[str, Any]) -> str:
         f"mode throughput  ECB  {mode['ecb_mb_per_s']:>8.3f} MB/s"
         f"   CBC  {mode['cbc_mb_per_s']:>8.3f} MB/s"
         f"   PCBC  {mode['pcbc_mb_per_s']:>8.3f} MB/s",
+        f"{str(mode['short_message_bytes']) + '-byte msgs':<17}"
+        f"ECB {mode['ecb_short_msgs_per_s']:>9,}/s"
+        f"   CBC {mode['cbc_short_msgs_per_s']:>9,}/s"
+        f"   PCBC {mode['pcbc_short_msgs_per_s']:>9,}/s",
         "",
         f"full exchange    {exchange['exchanges_per_s']:>8.2f} workloads/s"
         f"   ({exchange['des_ops_per_exchange']} DES ops,"

@@ -129,10 +129,24 @@ def _reference_chain(key, iv, data, decrypt, propagate):
     return bytes(out)
 
 
+# Messages just below, at and just above the block count where the kernel
+# switches from per-block table IP/FP to whole-message IP/FP.
+CROSSOVER = des.WHOLE_MESSAGE_MIN_BLOCKS
+
+
+def _crossover_example(blocks):
+    return example(bytes(range(7, 7 + 8 * blocks)),
+                   bytes.fromhex("0123456789ABCDEF"),
+                   bytes.fromhex("F0E1D2C3B4A59687"))
+
+
 @given(st.binary(min_size=0, max_size=120).map(modes.pad_zero), key8, key8)
 @settings(max_examples=30, deadline=None)
 @example(bytes(range(64)), bytes.fromhex("0123456789ABCDEF"),
          bytes.fromhex("F0E1D2C3B4A59687"))
+@_crossover_example(CROSSOVER - 1)
+@_crossover_example(CROSSOVER)
+@_crossover_example(CROSSOVER + 1)
 def test_modes_match_reference_composition(plaintext, key, iv):
     """ECB/CBC/PCBC built from reference block ops equal the cached
     fast modes byte for byte, in both directions."""
@@ -164,6 +178,39 @@ def test_modes_roundtrip_through_fast_path(plaintext, key, iv):
         == plaintext
     assert modes.pcbc_decrypt(key, modes.pcbc_encrypt(key, plaintext, iv), iv) \
         == plaintext
+
+
+def _rotl3(half):
+    return ((half << 3) | (half >> 29)) & 0xFFFFFFFF
+
+
+def _rotr3(half):
+    return ((half >> 3) | (half << 29)) & 0xFFFFFFFF
+
+
+multi_block = st.integers(min_value=1, max_value=40).flatmap(
+    lambda blocks: st.binary(min_size=8 * blocks, max_size=8 * blocks))
+
+
+@given(multi_block)
+@settings(max_examples=40, deadline=None)
+@example(bytes(range(256)) * 4)
+def test_whole_message_ip_fp_match_reference(data):
+    """The lane-wise IP/FP over a whole message is the per-bit IP/FP of
+    every block (up to the round layout's rotate-by-3 of each half), and
+    FP undoes IP."""
+    blocks = [int.from_bytes(data[i:i + 8], "big")
+              for i in range(0, len(data), 8)]
+    halves = des._ip_lanes(data)
+    assert [(_rotl3(left) << 32) | _rotl3(right)
+            for left, right in zip(halves[0::2], halves[1::2])] \
+        == [des_reference.initial_permutation(block) for block in blocks]
+    assert des._fp_lanes(halves) == data
+    rotated = [_rotr3(half) for block in blocks
+               for half in (block >> 32, block & 0xFFFFFFFF)]
+    assert des._fp_lanes(rotated) == b"".join(
+        des_reference.final_permutation(block).to_bytes(8, "big")
+        for block in blocks)
 
 
 # --- the schedule cache ----------------------------------------------------

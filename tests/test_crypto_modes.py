@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import modes
-from repro.crypto.des import BLOCK_OPS, BLOCK_SIZE, DesError
+from repro.crypto.des import (
+    BLOCK_OPS, BLOCK_SIZE, WHOLE_MESSAGE_MIN_BLOCKS, DesError,
+)
 from repro.crypto.rng import DeterministicRandom
 
 KEY = bytes.fromhex("133457799BBCDFF1")
@@ -145,9 +147,14 @@ ALL_MODES = [
 ]
 MODE_IDS = [name for name, _fn, _iv in ALL_MODES]
 
+# Block counts on both sides of the per-block-table / whole-message
+# IP/FP crossover, plus the edges and a long message.
+CROSSOVER = WHOLE_MESSAGE_MIN_BLOCKS
+BLOCK_COUNTS = sorted({0, 1, 2, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, 17})
+
 
 @pytest.mark.parametrize("name,fn,takes_iv", ALL_MODES, ids=MODE_IDS)
-@pytest.mark.parametrize("blocks", [0, 1, 2, 17])
+@pytest.mark.parametrize("blocks", BLOCK_COUNTS)
 def test_block_ops_delta_is_block_count(name, fn, takes_iv, blocks):
     """E18's cost ledger: exactly one counted DES op per block."""
     data = bytes(range(8 * blocks))
@@ -158,7 +165,7 @@ def test_block_ops_delta_is_block_count(name, fn, takes_iv, blocks):
 
 
 @pytest.mark.parametrize("name,fn,takes_iv", ALL_MODES, ids=MODE_IDS)
-@pytest.mark.parametrize("length", [1, 7, 9, 15])
+@pytest.mark.parametrize("length", [1, 7, 9, 15, 8 * CROSSOVER + 3])
 def test_misaligned_data_rejected(name, fn, takes_iv, length):
     what = "plaintext" if name.endswith("encrypt") else "ciphertext"
     before = BLOCK_OPS.count
@@ -176,6 +183,8 @@ def test_misaligned_data_rejected(name, fn, takes_iv, length):
 @pytest.mark.parametrize("iv_length", [0, 7, 9])
 def test_wrong_length_iv_rejected(name, fn, takes_iv, iv_length):
     before = BLOCK_OPS.count
-    with pytest.raises(DesError, match=f"^IV must be 8 bytes, got {iv_length}$"):
-        fn(KEY, b"x" * 16, bytes(iv_length))
+    for blocks in (2, CROSSOVER + 1):
+        with pytest.raises(DesError,
+                           match=f"^IV must be 8 bytes, got {iv_length}$"):
+            fn(KEY, b"x" * (8 * blocks), bytes(iv_length))
     assert BLOCK_OPS.count == before

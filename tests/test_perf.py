@@ -9,8 +9,10 @@ here, where iteration counts are too small to time reliably.
 import json
 
 from repro.__main__ import main
+from repro.crypto import des, des_reference, modes
 from repro.perf import (
-    bench_block_throughput, bench_matrix, render_report, run_perf,
+    _reference_pcbc_encrypt, bench_block_throughput, bench_matrix,
+    bench_message_throughput, bench_mode_throughput, render_report, run_perf,
 )
 
 
@@ -26,7 +28,7 @@ def _tiny_report(tmp_path, out_name="bench.json"):
 
 def test_report_shape_and_file(tmp_path):
     report, out = _tiny_report(tmp_path)
-    assert report["schema"] == "repro-bench-crypto/2"
+    assert report["schema"] == "repro-bench-crypto/3"
     assert report["written_to"] == str(out)
     block = report["block"]
     assert block["fast_blocks_per_s"] > 0
@@ -34,11 +36,13 @@ def test_report_shape_and_file(tmp_path):
     assert block["speedup"] > 1.0  # the table-driven path must win
     for mode in ("ecb", "cbc", "pcbc"):
         assert report["modes"][f"{mode}_mb_per_s"] > 0
+        assert report["modes"][f"{mode}_short_msgs_per_s"] > 0
+    assert report["modes"]["short_message_bytes"] == 16
     assert report["exchange"]["des_ops_per_exchange"] > 0
     assert report["exchange"]["wire_messages_per_exchange"] == 12
 
     on_disk = json.loads(out.read_text())
-    assert on_disk["schema"] == "repro-bench-crypto/2"
+    assert on_disk["schema"] == "repro-bench-crypto/3"
     assert "written_to" not in on_disk  # added after the dump
 
 
@@ -56,6 +60,7 @@ def test_render_report_is_printable(tmp_path):
     assert "raw DES blocks" in text
     assert "speedup" in text
     assert "attack matrix" in text
+    assert "16-byte msgs" in text
     assert "bench.json" in text
 
 
@@ -63,6 +68,31 @@ def test_bench_block_throughput_standalone():
     result = bench_block_throughput(iterations=200, ref_iterations=20)
     assert result["fast_iterations"] == 200
     assert result["speedup"] > 0
+
+
+def test_short_messages_stay_below_the_whole_message_crossover():
+    """The short-message figure must time the per-block table path."""
+    result = bench_mode_throughput(payload_bytes=256, repeats=1,
+                                   short_repeats=5)
+    assert result["short_message_bytes"] // des.BLOCK_SIZE \
+        < des.WHOLE_MESSAGE_MIN_BLOCKS
+    assert result["payload_bytes"] // des.BLOCK_SIZE \
+        >= des.WHOLE_MESSAGE_MIN_BLOCKS
+
+
+def test_reference_pcbc_composition_matches_the_mode():
+    """The E27 message baseline computes what it is compared against."""
+    key = bytes.fromhex("133457799BBCDFF1")
+    payload = bytes(range(256)) * 4
+    subkeys = des_reference.derive_subkeys(key)
+    assert _reference_pcbc_encrypt(subkeys, payload) \
+        == modes.pcbc_encrypt(key, payload)
+
+
+def test_bench_message_throughput_standalone():
+    result = bench_message_throughput(iterations=2, ref_iterations=1)
+    assert result["payload_bytes"] == 1024
+    assert result["fast_msgs_per_s"] > result["reference_msgs_per_s"] > 0
 
 
 def test_bench_matrix_subset():
