@@ -468,7 +468,10 @@ BLOCK_OPS = _OpCounter()
 #: with ``tools/des_crossover.py`` on a 2-vCPU Xeon under CPython 3.11:
 #: the whole-message path costs ~2.7 µs more per call (int and struct
 #: conversions, the lane masks) and ~0.8 µs less per block, so it ties
-#: at 3 blocks and wins from 4 on (``docs/performance.md``).
+#: at 3 blocks and wins from 4 on (``docs/performance.md``).  End to end,
+#: sending every message down the whole-message path (a threshold of 1)
+#: raised the crack workload's latency_p50 in 5 of 5 perfbench pairs
+#: (median +2.6%), so the per-block path stays for short messages.
 WHOLE_MESSAGE_MIN_BLOCKS = 4
 
 
@@ -490,7 +493,18 @@ _IP_BYTES = _bit_order(_IP_COLUMNS)
 _FP_BYTES = _bit_order([_IP_COLUMNS.index(c) for c in range(8)])
 
 
-@lru_cache(maxsize=256)
+#: Bound on message lengths whose lane masks are memoised.  Building the
+#: seven masks costs 1.3 µs per call at 4 blocks and 6.7 µs at 132
+#: (against 0.1 µs for a cache hit); without the cache the whole-message
+#: path first wins at 8 blocks, not 4.  A full matrix run sends 16
+#: distinct lengths of 4 blocks or more through the kernel (at most 24
+#: blocks), and each benchmark workload at most 6 (at most 132 blocks,
+#: exchange's 1 KiB messages), so 32 entries hold every working set.
+#: An entry pins 56 bytes per block.
+_LANE_MASK_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_LANE_MASK_CACHE_SIZE)
 def _lane_masks(blocks: int) -> Tuple[int, ...]:
     """The 64-bit lane masks of the whole-message IP/FP, each repeated
     once per block: the anti-transpose's three delta swaps (by 9, 18 and

@@ -55,6 +55,15 @@ __all__ = [
 _BENCH_KEY = bytes.fromhex("133457799BBCDFF1")
 _BENCH_BLOCK = bytes.fromhex("0123456789ABCDEF")
 
+#: The short-message shape ``bench_mode_throughput`` times: a 2-block
+#: message, the md4-des checksum shape, below the DES kernel's
+#: whole-message crossover.
+_SHORT_MESSAGE_BLOCKS = 2
+
+#: The message ``bench_message_throughput`` times: a 1 KiB PCBC payload,
+#: the exchange workload's KRB_PRIV shape.
+_MESSAGE_BYTES = 1024
+
 
 def bench_block_throughput(iterations: int = 50_000,
                            ref_iterations: int = 5_000) -> Dict[str, Any]:
@@ -132,10 +141,9 @@ def bench_bitslice_throughput(lanes: int = 1024,
 
 def bench_mode_throughput(payload_bytes: int = 65_536,
                           repeats: int = 3,
-                          short_blocks: int = 2,
                           short_repeats: int = 2_000) -> Dict[str, Any]:
     """Mode throughput: bulk MB/s over a zero-padded working buffer, and
-    messages/s for *short_blocks*-block messages.
+    messages/s for :data:`_SHORT_MESSAGE_BLOCKS`-block messages.
 
     The two shapes take different IP/FP strategies in the DES kernel
     (whole-message vs per-block tables, split at
@@ -143,7 +151,7 @@ def bench_mode_throughput(payload_bytes: int = 65_536,
     message is the md4-des checksum shape.
     """
     payload = modes.pad_zero(bytes(range(256)) * (payload_bytes // 256 or 1))
-    short = bytes(range(8 * short_blocks))
+    short = bytes(range(8 * _SHORT_MESSAGE_BLOCKS))
     report: Dict[str, Any] = {"payload_bytes": len(payload),
                               "short_message_bytes": len(short)}
     for name, encrypt, decrypt in (
@@ -185,16 +193,17 @@ def _reference_pcbc_encrypt(subkeys: Sequence[int], plaintext: bytes) -> bytes:
     return bytes(out)
 
 
-def bench_message_throughput(payload_bytes: int = 1024, iterations: int = 40,
+def bench_message_throughput(iterations: int = 40,
                              ref_iterations: int = 2) -> Dict[str, Any]:
-    """PCBC encryption of whole *payload_bytes* messages per second, the
-    mode call vs the reference cipher composed block by block.
+    """PCBC encryption of whole :data:`_MESSAGE_BYTES` messages per
+    second, the mode call vs the reference cipher composed block by
+    block.
 
     This is the exchange workload's KRB_PRIV shape.  Both sides use a
     pre-derived schedule, so the ratio covers the message kernel (IP/FP
     strategy, chaining, rounds), not schedule caching.
     """
-    payload = modes.pad_zero(bytes(range(256)) * (payload_bytes // 256 or 1))
+    payload = bytes(range(256)) * (_MESSAGE_BYTES // 256)
     schedule = des.get_schedule(_BENCH_KEY)
     start = time.perf_counter()
     for _ in range(iterations):
