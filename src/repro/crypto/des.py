@@ -403,9 +403,13 @@ def _cook_images() -> List[int]:
 
 _COOK_TAB = _byte_tables(_cook_images())
 
-#: Per-byte popcount-parity (1 = odd number of set bits).  Python 3.9 has
-#: no ``int.bit_count``; one 256-entry table serves both parity helpers.
-_PARITY = tuple(bin(value).count("1") & 1 for value in range(256))
+#: ``bytes.translate`` table: each byte with its low bit set so that the
+#: byte has an odd number of set bits (Python 3.9 has no
+#: ``int.bit_count``).  Serves every parity helper.
+_ODD_PARITY = bytes(
+    high | ((bin(high).count("1") & 1) ^ 1)
+    for high in (value & 0xFE for value in range(256))
+)
 
 
 def derive_subkeys(key: bytes) -> Tuple[int, ...]:
@@ -794,18 +798,14 @@ class DesCipher:
 
 def set_odd_parity(key: bytes) -> bytes:
     """Return *key* with each byte's low bit fixed to give odd parity."""
-    parity = _PARITY
-    out = bytearray(key)
-    for i, byte in enumerate(out):
-        high = byte & 0xFE
-        out[i] = high | (parity[high] ^ 1)
-    return bytes(out)
+    return bytes(key).translate(_ODD_PARITY)
 
 
 def has_odd_parity(key: bytes) -> bool:
     """True if every byte of *key* has an odd number of set bits."""
-    parity = _PARITY
-    return all(parity[b] for b in key)
+    # Every odd-parity byte value is in the table's image: delete them
+    # all, and nothing may remain.
+    return not bytes(key).translate(None, _ODD_PARITY)
 
 
 def is_weak_key(key: bytes) -> bool:

@@ -60,12 +60,9 @@ class TaggedKey:
             raise ValueError(f"key must be {BLOCK_SIZE} bytes")
 
 
-def _reverse_7bits(byte: int) -> int:
-    """Reverse the low 7 bits of *byte* (the V4 fan-fold quirk)."""
-    out = 0
-    for i in range(7):
-        out |= ((byte >> i) & 1) << (6 - i)
-    return out
+#: ``bytes.translate`` table reversing each byte's low 7 bits and dropping
+#: the top bit: the V4 fan-fold quirk applied to odd chunks.
+_REVERSE7 = bytes(int(f"{value & 0x7F:07b}"[::-1], 2) for value in range(256))
 
 
 def _pad_password(password: str, salt: str) -> bytes:
@@ -75,26 +72,22 @@ def _pad_password(password: str, salt: str) -> bytes:
 
 def _fanfold_key(padded: bytes) -> bytes:
     """Fan-fold *padded* into 8 bytes, fix parity, and fix weak keys."""
-    fanfold = bytearray(BLOCK_SIZE)
-    for chunk_index in range(0, len(padded), BLOCK_SIZE):
-        chunk = padded[chunk_index:chunk_index + BLOCK_SIZE]
-        if (chunk_index // BLOCK_SIZE) % 2 == 1:
-            chunk = bytes(_reverse_7bits(b) for b in reversed(chunk))
-        for i in range(BLOCK_SIZE):
-            fanfold[i] ^= chunk[i]
-
-    folded = set_odd_parity(bytes(fanfold))
-    if is_weak_key(folded):
-        folded = bytes([folded[0] ^ 0xF0]) + folded[1:]
-    return folded
+    fanfold = 0
+    for offset in range(0, len(padded), BLOCK_SIZE):
+        chunk = padded[offset:offset + BLOCK_SIZE]
+        if (offset // BLOCK_SIZE) & 1:  # odd chunks: bytes and bits reversed
+            chunk = chunk[::-1].translate(_REVERSE7)
+        fanfold ^= int.from_bytes(chunk, "big")
+    return _finalize_key(fanfold.to_bytes(BLOCK_SIZE, "big"))
 
 
-def _finalize_key(chain: bytes) -> bytes:
-    """Parity-fix and weak-key-fix the final CBC checksum block."""
-    final = set_odd_parity(chain)
-    if is_weak_key(final):
-        final = bytes([final[0] ^ 0xF0]) + final[1:]
-    return final
+def _finalize_key(block: bytes) -> bytes:
+    """Parity-fix *block*, and flip a weak or semi-weak result out of
+    the weak set (the fan-fold key and the final CBC checksum block)."""
+    key = set_odd_parity(block)
+    if is_weak_key(key):
+        key = bytes([key[0] ^ 0xF0]) + key[1:]
+    return key
 
 
 def string_to_key(password: str, salt: str = "") -> bytes:

@@ -109,6 +109,12 @@ class LazyPrincipalKeys:
     principal authenticates.  ``materialized`` counts how many of the N
     ever did; with Zipfian popularity it stays far below N, and the
     report surfaces the gap.
+
+    :func:`run_scale_model` keeps one store per call: the main run and
+    every scaling-curve cell model the same realm with the same
+    passwords, so a key derived once serves them all.  The report's
+    ``materialized`` is read right after the main run, so it counts the
+    main run's principals only.
     """
 
     def __init__(self, total: int) -> None:
@@ -453,7 +459,7 @@ def _run_model_once(
     principals: int, shards: int, workers_per_shard: int, requests: int,
     replay_cache_capacity: int, interarrival_us: int, zipf_s: float,
     diurnal: bool, faults: bool, seed_rng: DeterministicRandom,
-    cal: Dict[str, int],
+    cal: Dict[str, int], key_store: LazyPrincipalKeys,
     failsafe_us: Optional[int],
     sampler_factory: Optional[Callable[["_Model"], TickSampler]] = None,
     us_per_block_op: float = DEFAULT_US_PER_BLOCK_OP,
@@ -463,7 +469,8 @@ def _run_model_once(
     ``seed_rng`` is a :class:`repro.crypto.rng.DeterministicRandom` the
     caller forked; everything below draws from labelled forks of it, so
     the main run and each scaling-curve cell are independent streams
-    and the whole thing replays identically for a seed.
+    and the whole thing replays identically for a seed.  ``key_store`` is
+    the caller's principal-key store, shared across runs of one realm.
     """
     from repro.sim.workload import (
         DiurnalCurve, ZipfianGenerator, open_loop_arrivals,
@@ -473,7 +480,6 @@ def _run_model_once(
                    failsafe_us, us_per_block_op=us_per_block_op)
     sched, clock = model.sched, model.clock
     sampler = sampler_factory(model) if sampler_factory is not None else None
-    keys = LazyPrincipalKeys(principals)
     zipf = ZipfianGenerator(principals, s=zipf_s, rng=seed_rng.fork("zipf"))
     backoff_rng = seed_rng.fork("backoff")
     curve = None
@@ -510,8 +516,8 @@ def _run_model_once(
     def unit_process(op: int, intended: int, rank: int) -> Iterator[Any]:
         if sampler is not None:
             sampler.poll()
-        client = keys.name(rank)
-        keys.key_for(rank)  # the AS key lookup: derive-on-first-touch
+        client = key_store.name(rank)
+        key_store.key_for(rank)  # the AS key lookup: derive-on-first-touch
         outcome, _ = yield from model._request(
             "kerberos", shard_of(client, shards), cal["as_block_ops"],
             client, b"", backoff_rng,
@@ -581,7 +587,6 @@ def _run_model_once(
 
     return {
         "model": model,
-        "keys": keys,
         "sampler": sampler,
         "unit_latency": unit_latency,
         "phase_latency": phase_latency,
@@ -652,14 +657,17 @@ def run_scale_model(
         sampler.gauge("cluster.client_retries", lambda: model.retries)
         return sampler
 
+    # One key store for the main run and every curve cell: same realm,
+    # same passwords.  The report counts the main run's keys only.
+    key_store = LazyPrincipalKeys(principals)
     result = _run_model_once(
         principals, shards, workers_per_shard, requests,
         replay_cache_capacity, interarrival_us, zipf_s, diurnal, faults,
-        root_rng.fork("scale:main"), cal, FAILSAFE_US,
+        root_rng.fork("scale:main"), cal, key_store, FAILSAFE_US,
         sampler_factory=make_sampler, us_per_block_op=us_per_block_op,
     )
+    materialized = key_store.materialized
     model: _Model = result["model"]
-    keys: LazyPrincipalKeys = result["keys"]
     sampler: TickSampler = result["sampler"]
     sampler.tick()  # final reading at end-of-run state
 
@@ -683,7 +691,8 @@ def run_scale_model(
             replay_cache_capacity, cell_interarrival, zipf_s,
             diurnal=False, faults=False,
             seed_rng=root_rng.fork(f"curve:{cell_shards}x{cell_workers}"),
-            cal=cal, failsafe_us=None, us_per_block_op=us_per_block_op,
+            cal=cal, key_store=key_store, failsafe_us=None,
+            us_per_block_op=us_per_block_op,
         )
         cell_wait = LogHistogram()
         for shard in cell["model"].shards:
@@ -742,7 +751,7 @@ def run_scale_model(
             "mode": "model",
             "principals": {
                 "total": principals,
-                "materialized": keys.materialized,
+                "materialized": materialized,
             },
             "zipf_s": zipf_s,
             "diurnal": bool(diurnal),

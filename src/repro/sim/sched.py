@@ -85,11 +85,10 @@ def recv(channel: "Channel") -> _Recv:
 class Timer:
     """A scheduled callback; cancel before it fires and it never runs."""
 
-    __slots__ = ("time", "seq", "fn", "cancelled")
+    __slots__ = ("time", "fn", "cancelled")
 
-    def __init__(self, time: int, seq: int, fn: Callable[[], None]) -> None:
+    def __init__(self, time: int, fn: Callable[[], None]) -> None:
         self.time = time
-        self.seq = seq
         self.fn: Optional[Callable[[], None]] = fn
         self.cancelled = False
 
@@ -100,11 +99,6 @@ class Timer:
         self.cancelled = True
         self.fn = None  # drop references so cancelled heap entries are cheap
         return True
-
-    # heapq compares tuples (time, seq, timer) only when time and seq tie,
-    # and seq is unique — but define ordering anyway for safety.
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Channel:
@@ -129,8 +123,7 @@ class Channel:
 
     def put(self, item: Any) -> None:
         if self._waiters:
-            process = self._waiters.popleft()
-            self._sched._schedule_resume(process, item)
+            self._sched._resume(self._waiters.popleft(), item)
         else:
             self._items.append(item)
 
@@ -138,10 +131,18 @@ class Channel:
         """Try an immediate take; otherwise park the process.  Returns
         True when the process got an item scheduled right away."""
         if self._items:
-            self._sched._schedule_resume(process, self._items.popleft())
+            self._sched._resume(process, self._items.popleft())
             return True
         self._waiters.append(process)
         return False
+
+
+#: One heap entry: ``(time, seq, target, value)``.  ``target`` is a
+#: :class:`Timer` (value unused), a :class:`Channel` (a delayed ``recv``
+#: landing; value is the process to park), or a process (a resume;
+#: value is what to send it).  ``seq`` is unique, so comparisons never
+#: reach ``target``.
+_Entry = Tuple[int, int, Any, Any]
 
 
 class Scheduler:
@@ -149,9 +150,10 @@ class Scheduler:
 
     def __init__(self, clock: SimClock) -> None:
         self.clock = clock
-        self._heap: List[Tuple[int, int, Timer]] = []
+        self._heap: List[_Entry] = []
         self._seq = 0
         self._running = False
+        self._timeline: Optional[EventTimeline] = None
         # observability: surfaced by `repro serve` / the load report
         self.events_processed = 0
         self.heap_high_water = 0
@@ -160,6 +162,13 @@ class Scheduler:
 
     # -- scheduling primitives ------------------------------------------
 
+    def _push(self, time: int, target: Any, value: Any) -> None:
+        self._seq += 1
+        heap = self._heap
+        heapq.heappush(heap, (time, self._seq, target, value))
+        if len(heap) > self.heap_high_water:
+            self.heap_high_water = len(heap)
+
     def at(self, time: int, fn: Callable[[], None]) -> Timer:
         """Run ``fn`` at absolute virtual *time*.  Returns a cancellable
         :class:`Timer`.  Scheduling into the past is an error."""
@@ -167,11 +176,8 @@ class Scheduler:
             raise ValueError(
                 f"cannot schedule at {time} before now {self.clock.now()}"
             )
-        self._seq += 1
-        timer = Timer(time, self._seq, fn)
-        heapq.heappush(self._heap, (time, self._seq, timer))
-        if len(self._heap) > self.heap_high_water:
-            self.heap_high_water = len(self._heap)
+        timer = Timer(time, fn)
+        self._push(time, timer, None)
         return timer
 
     def after(self, delay: int, fn: Callable[[], None]) -> Timer:
@@ -198,8 +204,9 @@ class Scheduler:
 
     # -- process stepping -----------------------------------------------
 
-    def _schedule_resume(self, process: Process, value: Any) -> None:
-        self.after(0, lambda: self._step(process, value))
+    def _resume(self, process: Process, value: Any) -> None:
+        """Send *value* into *process* at the current virtual time."""
+        self._push(self.clock.now(), process, value)
 
     def _step(self, process: Process, value: Any) -> None:
         """Advance a process to its next suspension point.
@@ -208,36 +215,34 @@ class Scheduler:
         (wire transits, backoffs); the timeline defers those into
         elapsed time, which we fold into the process's next sleep so
         its activity occupies virtual time without stalling the loop.
+        ``run`` zeroes the timeline before every event, and the next
+        entry goes straight onto the heap.
         """
-        timeline = self.clock.timeline
-        if timeline is not None:
-            timeline.reset()
         try:
             command = process.send(value)
         except StopIteration:
             return
+        timeline = self._timeline
         elapsed = timeline.reset() if timeline is not None else 0
-        if isinstance(command, _Wait):
-            delay = command.delay + elapsed
+        kind = type(command)
+        if kind is _Wait:
             # a zero wait still re-enters the heap: it is a fairness
             # yield point, not a no-op
-            self.after(delay, lambda: self._step(process, None))
-            return
-        if isinstance(command, _Recv):
-            channel = command.channel
-            if elapsed:
-                # time passed before blocking; land on the channel only
-                # after that time has elapsed
-                def land() -> None:
-                    channel._park(process)
-
-                self.after(elapsed, land)
-            else:
-                channel._park(process)
-            return
-        raise TypeError(
-            f"process yielded {command!r}; expected wait(...) or recv(...)"
-        )
+            target: Any = process
+            value = None
+            delay = command.delay + elapsed
+        elif kind is _Recv:
+            if not elapsed:
+                command.channel._park(process)
+                return
+            # time passed before blocking; land on the channel only
+            # after that time has elapsed
+            target, value, delay = command.channel, process, elapsed
+        else:
+            raise TypeError(
+                f"process yielded {command!r}; expected wait(...) or recv(...)"
+            )
+        self._push(self.clock._now + delay, target, value)
 
     # -- the loop --------------------------------------------------------
 
@@ -247,36 +252,48 @@ class Scheduler:
         Attaches an :class:`EventTimeline` to the clock for the
         duration, so synchronous engine code inside events overlaps in
         virtual time instead of serializing.  Returns the number of
-        events processed by this call.
+        events processed by this call.  Nothing else moves the clock's
+        base while the loop runs, so it sets the base time and zeroes
+        the timeline directly rather than through ``advance_to``/``reset``.
         """
         if self._running:
             raise RuntimeError("scheduler is already running")
         self._running = True
-        timeline = EventTimeline()
-        self.clock.attach_timeline(timeline)
+        timeline = self._timeline = EventTimeline()
+        clock = self.clock
+        clock.attach_timeline(timeline)
+        heap = self._heap
+        pop = heapq.heappop
+        step = self._step
         processed = 0
         try:
-            while self._heap:
-                time, _seq, timer = self._heap[0]
-                if until is not None and time > until:
+            while heap:
+                if until is not None and heap[0][0] > until:
                     break
-                heapq.heappop(self._heap)
-                if timer.cancelled or timer.fn is None:
-                    continue
-                self.clock.advance_to(time)
-                timeline.reset()
-                fn, timer.fn = timer.fn, None
-                fn()
+                time, _seq, target, value = pop(heap)
+                kind = type(target)
+                if kind is Timer and target.fn is None:
+                    continue  # cancelled
+                clock._now = time
+                timeline.elapsed = 0
+                if kind is Timer:
+                    fn, target.fn = target.fn, None
+                    fn()
+                elif kind is Channel:
+                    target._park(value)
+                else:
+                    step(target, value)
                 processed += 1
-                self.events_processed += 1
         finally:
+            self.events_processed += processed
             timeline.reset()
-            self.clock.detach_timeline()
+            clock.detach_timeline()
+            self._timeline = None
             self._running = False
-        if until is not None and not self._heap:
+        if until is not None and not heap:
             # quiescent before the horizon: advance to it
-            if until > self.clock.now():
-                self.clock.advance_to(until)
+            if until > clock.now():
+                clock.advance_to(until)
         return processed
 
     def stats(self) -> Dict[str, int]:
