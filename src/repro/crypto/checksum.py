@@ -29,6 +29,7 @@ variant encrypts the MD4 digest under the key with CBC.
 from __future__ import annotations
 
 import enum
+import hmac
 from dataclasses import dataclass
 from typing import Callable, Dict
 
@@ -47,15 +48,10 @@ def constant_time_compare(left: bytes, right: bytes) -> bool:
     ``==`` on bytes returns at the first differing byte, so an attacker
     timing a verifier learns the length of the matching prefix — an
     oracle that turns offline guessing into online byte-at-a-time
-    search.  This fold reads every byte of both inputs regardless; only
-    the (public) lengths short-circuit.
+    search.  :func:`hmac.compare_digest` reads every byte of both inputs
+    regardless; only the (public) lengths short-circuit.
     """
-    if len(left) != len(right):
-        return False
-    diff = 0
-    for a, b in zip(left, right):
-        diff |= a ^ b
-    return diff == 0
+    return hmac.compare_digest(left, right)
 
 
 class ChecksumType(enum.Enum):

@@ -18,37 +18,27 @@ needs, since the forged field (authorization data) comes after the fields
 the attacker rewrites (option bits, enclosed ticket).
 
 The CRC itself is the reflected IEEE 802.3 polynomial 0xEDB88320, the one
-Kerberos specified.
+Kerberos specified.  It is also zlib's CRC, so :func:`crc32` delegates to
+:func:`zlib.crc32` instead of walking a lookup table in Python: the
+checksum sits on every Draft-3 request, and the forgery needs 33 CRCs per
+patched field.  The function is affine over GF(2) however it is computed.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import List
 
 __all__ = ["crc32", "forge_field", "ForgeryError"]
 
-_POLY = 0xEDB88320
-
-
-def _build_table() -> List[int]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = (crc >> 1) ^ _POLY if crc & 1 else crc >> 1
-        table.append(crc)
-    return table
-
-
-_TABLE = _build_table()
-
 
 def crc32(data: bytes, initial: int = 0xFFFFFFFF) -> int:
-    """Reflected CRC-32 with final complement (matches zlib.crc32)."""
-    crc = initial
-    for byte in data:
-        crc = _TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
+    """Reflected CRC-32 with final complement (matches zlib.crc32).
+
+    *initial* is the 32-bit shift-register preset.  zlib takes the
+    complemented form (a previous CRC's output), hence the XOR.
+    """
+    return zlib.crc32(data, initial ^ 0xFFFFFFFF)
 
 
 class ForgeryError(ValueError):

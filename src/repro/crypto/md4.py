@@ -15,27 +15,52 @@ threat model, as in the paper's, it is treated as collision-proof.)
 from __future__ import annotations
 
 import struct
+from typing import Any, Callable, Dict, List
 
 __all__ = ["md4", "MD4"]
 
-_MASK = 0xFFFFFFFF
+#: RFC 1320's three rounds: the mixing function of (x, y, z), the
+#: additive constant, the order the 16 message words are read in, and
+#: the four rotate amounts that cycle through the round's steps.
+_ROUNDS = (
+    ("{z} ^ ({x} & ({y} ^ {z}))", 0,  # F: x ? y : z
+     range(16), (3, 7, 11, 19)),
+    ("({x} & {y}) | ({z} & ({x} | {y}))", 0x5A827999,  # G: majority
+     (0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15), (3, 5, 9, 13)),
+    ("{x} ^ {y} ^ {z}", 0x6ED9EBA1,  # H: parity
+     (0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15), (3, 9, 11, 15)),
+)
 
 
-def _left_rotate(value: int, amount: int) -> int:
-    value &= _MASK
-    return ((value << amount) | (value >> (32 - amount))) & _MASK
+def _unroll() -> str:
+    """Source for ``_compress(state, data, offset)``: the 48 steps of
+    :data:`_ROUNDS` written out as straight-line code on locals."""
+    lines = [
+        "def _compress(state, data, offset):",
+        "    " + ", ".join(f"x{k}" for k in range(16))
+        + " = _unpack_from(data, offset)",
+        "    a, b, c, d = state",
+    ]
+    for mix, constant, order, shifts in _ROUNDS:
+        for step, word in enumerate(order):
+            # The registers rotate one place per step: a <- f(b, c, d),
+            # then d <- f(a, b, c), c <- f(d, a, b), b <- f(c, d, a).
+            turn = -(step % 4)
+            t, x, y, z = "abcd"[turn:] + "abcd"[:turn] if turn else "abcd"
+            add = f" + {constant:#x}" if constant else ""
+            shift = shifts[step % 4]
+            lines.append(f"    {t} = ({t} + ({mix.format(x=x, y=y, z=z)})"
+                         f" + x{word}{add}) & 0xFFFFFFFF")
+            lines.append(f"    {t} = ({t} << {shift} | {t} >> {32 - shift})"
+                         f" & 0xFFFFFFFF")
+    lines.append("    return [(s + r) & 0xFFFFFFFF"
+                 " for s, r in zip(state, (a, b, c, d))]")
+    return "\n".join(lines)
 
 
-def _f(x: int, y: int, z: int) -> int:
-    return (x & y) | (~x & z)
-
-
-def _g(x: int, y: int, z: int) -> int:
-    return (x & y) | (x & z) | (y & z)
-
-
-def _h(x: int, y: int, z: int) -> int:
-    return x ^ y ^ z
+_namespace: Dict[str, Any] = {"_unpack_from": struct.Struct("<16I").unpack_from}
+exec(compile(_unroll(), "<md4 rounds>", "exec"), _namespace)
+_compress: Callable[[List[int], bytes, int], List[int]] = _namespace["_compress"]
 
 
 class MD4:
@@ -45,7 +70,7 @@ class MD4:
     block_size = 64
 
     def __init__(self, data: bytes = b"") -> None:
-        self._state = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476]
+        self._state: List[int] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476]
         self._buffer = b""
         self._length = 0
         if data:
@@ -53,79 +78,25 @@ class MD4:
 
     def update(self, data: bytes) -> None:
         self._length += len(data)
-        self._buffer += data
-        while len(self._buffer) >= 64:
-            self._compress(self._buffer[:64])
-            self._buffer = self._buffer[64:]
+        buffer = self._buffer + data
+        whole = len(buffer) - len(buffer) % 64
+        state = self._state
+        for offset in range(0, whole, 64):
+            state = _compress(state, buffer, offset)
+        self._state = state
+        self._buffer = buffer[whole:]
 
     def digest(self) -> bytes:
-        # Clone state so digest() is non-destructive.
-        clone = MD4.__new__(MD4)
-        clone._state = list(self._state)
-        clone._buffer = self._buffer
-        clone._length = self._length
-        bit_length = clone._length * 8
-        padding = b"\x80" + b"\x00" * ((55 - clone._length) % 64)
-        clone.update(padding + struct.pack("<Q", bit_length))
-        # update() adjusted _length; that is harmless on the clone.
-        return struct.pack("<4I", *clone._state)
+        # Pad a copy of the tail, so digest() is non-destructive.
+        tail = (self._buffer + b"\x80" + bytes((55 - self._length) % 64)
+                + struct.pack("<Q", self._length * 8))
+        state = self._state
+        for offset in range(0, len(tail), 64):
+            state = _compress(state, tail, offset)
+        return struct.pack("<4I", *state)
 
     def hexdigest(self) -> str:
         return self.digest().hex()
-
-    def _compress(self, block: bytes) -> None:
-        x = struct.unpack("<16I", block)
-        a, b, c, d = self._state
-
-        # Round 1.
-        for i in range(16):
-            k = i
-            s = (3, 7, 11, 19)[i % 4]
-            target = (16 - i) % 4
-            if target == 0:
-                a = _left_rotate(a + _f(b, c, d) + x[k], s)
-            elif target == 3:
-                d = _left_rotate(d + _f(a, b, c) + x[k], s)
-            elif target == 2:
-                c = _left_rotate(c + _f(d, a, b) + x[k], s)
-            else:
-                b = _left_rotate(b + _f(c, d, a) + x[k], s)
-
-        # Round 2.
-        for i in range(16):
-            k = (i % 4) * 4 + i // 4
-            s = (3, 5, 9, 13)[i % 4]
-            target = (16 - i) % 4
-            if target == 0:
-                a = _left_rotate(a + _g(b, c, d) + x[k] + 0x5A827999, s)
-            elif target == 3:
-                d = _left_rotate(d + _g(a, b, c) + x[k] + 0x5A827999, s)
-            elif target == 2:
-                c = _left_rotate(c + _g(d, a, b) + x[k] + 0x5A827999, s)
-            else:
-                b = _left_rotate(b + _g(c, d, a) + x[k] + 0x5A827999, s)
-
-        # Round 3 uses the bit-reversal order of the low 4 bits.
-        order = (0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15)
-        for i in range(16):
-            k = order[i]
-            s = (3, 9, 11, 15)[i % 4]
-            target = (16 - i) % 4
-            if target == 0:
-                a = _left_rotate(a + _h(b, c, d) + x[k] + 0x6ED9EBA1, s)
-            elif target == 3:
-                d = _left_rotate(d + _h(a, b, c) + x[k] + 0x6ED9EBA1, s)
-            elif target == 2:
-                c = _left_rotate(c + _h(d, a, b) + x[k] + 0x6ED9EBA1, s)
-            else:
-                b = _left_rotate(b + _h(c, d, a) + x[k] + 0x6ED9EBA1, s)
-
-        self._state = [
-            (self._state[0] + a) & _MASK,
-            (self._state[1] + b) & _MASK,
-            (self._state[2] + c) & _MASK,
-            (self._state[3] + d) & _MASK,
-        ]
 
 
 def md4(data: bytes) -> bytes:

@@ -29,8 +29,8 @@ kerberos layer declares one schema per message type.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from dataclasses import dataclass, field as dataclass_field
+from typing import Any, Dict, FrozenSet, NoReturn, Tuple
 
 from repro.encoding import der
 
@@ -47,6 +47,10 @@ class FieldKind(enum.Enum):
     STRING = "string"  # principal names, realms
 
 
+#: The universal tag each field kind is carried under in V5.
+_INNER_TAG = {FieldKind.UINT: 0x02, FieldKind.BYTES: 0x04, FieldKind.STRING: 0x0C}
+
+
 @dataclass(frozen=True)
 class Field:
     """One named, typed slot in a message schema."""
@@ -61,33 +65,50 @@ class Schema:
 
     The *type_code* is what V5 puts on the wire (and inside encrypted
     data) and what V4 deliberately omits.
+
+    Construction compiles the field list once into ``plan``: one
+    ``(name, kind, inner_tag, context_tag)`` row per field, where
+    *inner_tag* is the field's V5 universal tag and *context_tag* its
+    ``[i]`` wrapper.  Both codecs and :meth:`validate` read the plan
+    instead of re-deriving it per message.
     """
 
     name: str
     type_code: int
     fields: Tuple[Field, ...]
+    plan: Tuple[Tuple[str, FieldKind, int, int], ...] = dataclass_field(
+        init=False, repr=False, compare=False)
+    _names: FrozenSet[str] = dataclass_field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "plan", tuple(
+            (f.name, f.kind, _INNER_TAG[f.kind], 0xA0 | i)
+            for i, f in enumerate(self.fields)
+        ))
+        object.__setattr__(self, "_names", frozenset(self.field_names()))
 
     def field_names(self) -> Tuple[str, ...]:
         return tuple(f.name for f in self.fields)
 
     def validate(self, values: Dict[str, Any]) -> None:
-        names = self.field_names()
-        missing = [n for n in names if n not in values]
-        extra = [n for n in values if n not in names]
-        if missing or extra:
+        if self._names.symmetric_difference(values):
+            names = self.field_names()
+            missing = [n for n in names if n not in values]
+            extra = [n for n in values if n not in names]
             raise CodecError(
                 f"{self.name}: missing fields {missing}, unexpected {extra}"
             )
-        for field in self.fields:
-            value = values[field.name]
-            if field.kind is FieldKind.UINT and not (
-                isinstance(value, int) and value >= 0
-            ):
-                raise CodecError(f"{self.name}.{field.name}: expected uint")
-            if field.kind is FieldKind.BYTES and not isinstance(value, (bytes, bytearray)):
-                raise CodecError(f"{self.name}.{field.name}: expected bytes")
-            if field.kind is FieldKind.STRING and not isinstance(value, str):
-                raise CodecError(f"{self.name}.{field.name}: expected str")
+        for name, kind, _, _ in self.plan:
+            value = values[name]
+            if kind is FieldKind.UINT:
+                if not (isinstance(value, int) and value >= 0):
+                    raise CodecError(f"{self.name}.{name}: expected uint")
+            elif kind is FieldKind.BYTES:
+                if not isinstance(value, (bytes, bytearray)):
+                    raise CodecError(f"{self.name}.{name}: expected bytes")
+            elif not isinstance(value, str):
+                raise CodecError(f"{self.name}.{name}: expected str")
 
 
 class V4Codec:
@@ -104,13 +125,13 @@ class V4Codec:
     def encode(schema: Schema, values: Dict[str, Any]) -> bytes:
         schema.validate(values)
         out = bytearray()
-        for field in schema.fields:
-            value = values[field.name]
-            if field.kind is FieldKind.UINT:
+        for name, kind, _, _ in schema.plan:
+            value = values[name]
+            if kind is FieldKind.UINT:
                 if value >= 1 << 64:
-                    raise CodecError(f"{field.name}: uint too large for v4")
+                    raise CodecError(f"{name}: uint too large for v4")
                 out += value.to_bytes(8, "big")
-            elif field.kind is FieldKind.BYTES:
+            elif kind is FieldKind.BYTES:
                 out += len(value).to_bytes(2, "big") + bytes(value)
             else:
                 encoded = value.encode("utf-8")
@@ -121,29 +142,29 @@ class V4Codec:
     def decode(schema: Schema, data: bytes) -> Dict[str, Any]:
         values: Dict[str, Any] = {}
         offset = 0
-        for field in schema.fields:
-            if field.kind is FieldKind.UINT:
+        for name, kind, _, _ in schema.plan:
+            if kind is FieldKind.UINT:
                 if offset + 8 > len(data):
-                    raise CodecError(f"{schema.name}.{field.name}: truncated")
-                values[field.name] = int.from_bytes(data[offset:offset + 8], "big")
+                    raise CodecError(f"{schema.name}.{name}: truncated")
+                values[name] = int.from_bytes(data[offset:offset + 8], "big")
                 offset += 8
             else:
                 if offset + 2 > len(data):
-                    raise CodecError(f"{schema.name}.{field.name}: truncated")
+                    raise CodecError(f"{schema.name}.{name}: truncated")
                 length = int.from_bytes(data[offset:offset + 2], "big")
                 offset += 2
                 if offset + length > len(data):
-                    raise CodecError(f"{schema.name}.{field.name}: truncated")
+                    raise CodecError(f"{schema.name}.{name}: truncated")
                 blob = data[offset:offset + length]
                 offset += length
-                if field.kind is FieldKind.BYTES:
-                    values[field.name] = blob
+                if kind is FieldKind.BYTES:
+                    values[name] = blob
                 else:
                     try:
-                        values[field.name] = blob.decode("utf-8")
+                        values[name] = blob.decode("utf-8")
                     except UnicodeDecodeError as exc:
                         raise CodecError(
-                            f"{schema.name}.{field.name}: bad utf-8"
+                            f"{schema.name}.{name}: bad utf-8"
                         ) from exc
         if offset != len(data):
             raise CodecError(f"{schema.name}: {len(data) - offset} trailing bytes")
@@ -156,6 +177,11 @@ class V5Codec:
     ``[APPLICATION type_code] SEQUENCE { [i] field_i }`` — decoding under
     the wrong schema fails on the outer tag before any field is read, the
     property recommendation (b) buys.
+
+    Both directions walk the schema's plan once.  :meth:`decode` reads
+    exactly that shape through :func:`repro.encoding.der.read_header`;
+    on any departure from it, :func:`_reject` re-reads the bytes with the
+    generic :func:`repro.encoding.der.decode` to name the fault.
     """
 
     name = "v5"
@@ -163,61 +189,110 @@ class V5Codec:
     @staticmethod
     def encode(schema: Schema, values: Dict[str, Any]) -> bytes:
         schema.validate(values)
-        elements = []
-        for index, field in enumerate(schema.fields):
-            value = values[field.name]
-            if field.kind is FieldKind.UINT:
-                inner = der.encode_integer(value)
-            elif field.kind is FieldKind.BYTES:
-                inner = der.encode_octet_string(bytes(value))
+        if len(schema.plan) > 31:
+            raise der.DerError("context tag number out of supported range")
+        header = der.encode_header
+        parts = []
+        for name, kind, inner_tag, context_tag in schema.plan:
+            value = values[name]
+            if kind is FieldKind.UINT:
+                # Non-negative, so this width is already minimal DER.
+                body = value.to_bytes(value.bit_length() // 8 + 1, "big")
+            elif kind is FieldKind.BYTES:
+                body = bytes(value)
             else:
-                inner = der.encode_utf8(value)
-            elements.append(der.encode_context(index, inner))
-        return der.encode_application(
-            schema.type_code, der.encode_sequence(*elements)
-        )
+                body = value.encode("utf-8")
+            size = len(body)
+            if size < 0x7E:
+                parts.append(bytes((context_tag, size + 2, inner_tag, size)) + body)
+            else:
+                inner = header(inner_tag, size) + body
+                parts.append(header(context_tag, len(inner)) + inner)
+        if not 0 <= schema.type_code < 31:
+            raise der.DerError("application tag number out of supported range")
+        content = b"".join(parts)
+        sequence = header(0x30, len(content)) + content
+        return header(0x60 | schema.type_code, len(sequence)) + sequence
 
     @staticmethod
     def decode(schema: Schema, data: bytes) -> Dict[str, Any]:
-        try:
-            tag, body, end = der.decode(data)
-        except der.DerError as exc:
-            raise CodecError(f"{schema.name}: {exc}") from exc
-        if end != len(data):
-            raise CodecError(f"{schema.name}: trailing bytes")
-        if tag != (0x60 | schema.type_code):
-            raise CodecError(
-                f"{schema.name}: wrong message type tag 0x{tag:02x}, "
-                f"expected APPLICATION {schema.type_code}"
-            )
-        if len(body) != 1 or body[0][0] != 0x30:
-            raise CodecError(f"{schema.name}: missing SEQUENCE body")
-        elements = body[0][1]
-        if len(elements) != len(schema.fields):
-            raise CodecError(
-                f"{schema.name}: {len(elements)} fields, "
-                f"expected {len(schema.fields)}"
-            )
+        read = der.read_header
+        size = len(data)
         values: Dict[str, Any] = {}
-        for index, (field, (tag, inner)) in enumerate(
-            zip(schema.fields, elements)
-        ):
-            if tag != (0xA0 | index):
-                raise CodecError(f"{schema.name}.{field.name}: bad context tag")
-            if len(inner) != 1:
-                raise CodecError(f"{schema.name}.{field.name}: bad wrapper")
-            inner_tag, value = inner[0]
-            expected = {
-                FieldKind.UINT: 0x02,
-                FieldKind.BYTES: 0x04,
-                FieldKind.STRING: 0x0C,
-            }[field.kind]
-            if inner_tag != expected:
-                raise CodecError(
-                    f"{schema.name}.{field.name}: type mismatch "
-                    f"(tag 0x{inner_tag:02x})"
-                )
-            if field.kind is FieldKind.UINT and value < 0:
-                raise CodecError(f"{schema.name}.{field.name}: negative uint")
-            values[field.name] = value
-        return values
+        try:
+            tag, offset, end = read(data)
+            if tag != 0x60 | schema.type_code or end != size:
+                raise CodecError
+            tag, offset, end = read(data, offset)
+            if tag != 0x30 or end != size:
+                raise CodecError
+            for name, kind, inner_tag, context_tag in schema.plan:
+                tag, offset, end = read(data, offset)
+                if tag != context_tag:
+                    raise CodecError
+                tag, offset, stop = read(data, offset)
+                if tag != inner_tag or stop != end:
+                    raise CodecError
+                body = data[offset:stop]
+                if kind is FieldKind.UINT:
+                    # Minimal and non-negative: the sign bit is clear and a
+                    # leading zero octet only ever precedes a set top bit.
+                    if not body or body[0] & 0x80 or (
+                        len(body) > 1 and not body[0] and not body[1] & 0x80
+                    ):
+                        raise CodecError
+                    values[name] = int.from_bytes(body, "big")
+                elif kind is FieldKind.BYTES:
+                    values[name] = body
+                else:
+                    values[name] = body.decode("utf-8")
+                offset = stop
+            if offset != size:
+                raise CodecError
+            return values
+        except (CodecError, der.DerError, UnicodeDecodeError):
+            pass
+        _reject(schema, data)
+
+
+def _reject(schema: Schema, data: bytes) -> NoReturn:
+    """Raise the error for bytes :meth:`V5Codec.decode` refused.
+
+    The generic decoder reads the whole tree first, so any DER fault
+    anywhere outranks a shape fault; then the shape is checked outside
+    in.  Off the hot path: only rejected input comes here.
+    """
+    try:
+        tag, body, end = der.decode(data)
+    except der.DerError as exc:
+        raise CodecError(f"{schema.name}: {exc}") from exc
+    if end != len(data):
+        raise CodecError(f"{schema.name}: trailing bytes")
+    if tag != (0x60 | schema.type_code):
+        raise CodecError(
+            f"{schema.name}: wrong message type tag 0x{tag:02x}, "
+            f"expected APPLICATION {schema.type_code}"
+        )
+    if len(body) != 1 or body[0][0] != 0x30:
+        raise CodecError(f"{schema.name}: missing SEQUENCE body")
+    elements = body[0][1]
+    if len(elements) != len(schema.fields):
+        raise CodecError(
+            f"{schema.name}: {len(elements)} fields, "
+            f"expected {len(schema.fields)}"
+        )
+    for (name, _, inner_tag, context_tag), (tag, inner) in zip(
+        schema.plan, elements
+    ):
+        if tag != context_tag:
+            raise CodecError(f"{schema.name}.{name}: bad context tag")
+        if len(inner) != 1:
+            raise CodecError(f"{schema.name}.{name}: bad wrapper")
+        if inner[0][0] != inner_tag:
+            raise CodecError(
+                f"{schema.name}.{name}: type mismatch "
+                f"(tag 0x{inner[0][0]:02x})"
+            )
+        if inner_tag == 0x02 and inner[0][1] < 0:
+            raise CodecError(f"{schema.name}.{name}: negative uint")
+    raise AssertionError(f"{schema.name}: V5 decode refused well-formed bytes")

@@ -24,12 +24,15 @@ from typing import Any, List, Tuple
 
 __all__ = [
     "DerError",
+    "MAX_DEPTH",
+    "encode_header",
     "encode_integer",
     "encode_octet_string",
     "encode_utf8",
     "encode_sequence",
     "encode_context",
     "encode_application",
+    "read_header",
     "decode",
     "decode_all",
 ]
@@ -40,6 +43,12 @@ _TAG_UTF8 = 0x0C
 _TAG_SEQUENCE = 0x30
 _CLASS_CONTEXT = 0xA0
 _CLASS_APPLICATION = 0x60
+
+#: Deepest constructed nesting :func:`decode` walks.  A V5 message nests
+#: four deep (APPLICATION, SEQUENCE, context wrapper, primitive); without
+#: a bound, a few kilobytes of nested SEQUENCEs exhaust the interpreter's
+#: stack and raise ``RecursionError`` instead of :class:`DerError`.
+MAX_DEPTH = 64
 
 
 class DerError(ValueError):
@@ -53,8 +62,16 @@ def _encode_length(length: int) -> bytes:
     return bytes([0x80 | len(body)]) + body
 
 
+def encode_header(tag: int, length: int) -> bytes:
+    """The tag and definite-length octets that precede *length* content
+    bytes."""
+    if length < 0x80:
+        return bytes((tag, length))
+    return bytes((tag,)) + _encode_length(length)
+
+
 def _encode_tlv(tag: int, content: bytes) -> bytes:
-    return bytes([tag]) + _encode_length(len(content)) + content
+    return encode_header(tag, len(content)) + content
 
 
 def encode_integer(value: int) -> bytes:
@@ -101,25 +118,39 @@ def encode_application(tag_number: int, content: bytes) -> bytes:
     return _encode_tlv(_CLASS_APPLICATION | tag_number, content)
 
 
-def _decode_length(data: bytes, offset: int) -> Tuple[int, int]:
-    if offset >= len(data):
-        raise DerError("truncated length")
-    first = data[offset]
+def read_header(data: bytes, offset: int = 0) -> Tuple[int, int, int]:
+    """Read the tag and length of the TLV at *offset*, not its content.
+
+    Returns ``(tag, content_start, content_end)``.  This is the one place
+    the length form, its minimality and truncation are checked; both
+    :func:`decode` and the V5 codec's fixed-shape walk read through it.
+    """
+    size = len(data)
+    if offset >= size:
+        raise DerError("truncated tag")
+    tag = data[offset]
     offset += 1
-    if first < 0x80:
-        return first, offset
-    count = first & 0x7F
-    if count == 0 or count > 8:
-        raise DerError("unsupported length form")
-    if offset + count > len(data):
-        raise DerError("truncated long-form length")
-    value = int.from_bytes(data[offset:offset + count], "big")
-    if value < 0x80 and count == 1:
-        raise DerError("non-minimal length encoding")
-    return value, offset + count
+    if offset >= size:
+        raise DerError("truncated length")
+    length = data[offset]
+    offset += 1
+    if length >= 0x80:
+        count = length & 0x7F
+        if count == 0 or count > 8:
+            raise DerError("unsupported length form")
+        if offset + count > size:
+            raise DerError("truncated long-form length")
+        length = int.from_bytes(data[offset:offset + count], "big")
+        if length < 0x80 and count == 1:
+            raise DerError("non-minimal length encoding")
+        offset += count
+    end = offset + length
+    if end > size:
+        raise DerError("content extends past end of data")
+    return tag, offset, end
 
 
-def decode(data: bytes, offset: int = 0) -> Tuple[int, Any, int]:
+def decode(data: bytes, offset: int = 0, _depth: int = 0) -> Tuple[int, Any, int]:
     """Decode one TLV starting at *offset*.
 
     Returns ``(tag, value, next_offset)`` where *value* is:
@@ -128,14 +159,11 @@ def decode(data: bytes, offset: int = 0) -> Tuple[int, Any, int]:
     * ``bytes`` for OCTET STRING,
     * ``str`` for UTF8String,
     * ``list`` of (tag, value) pairs for SEQUENCE and tagged wrappers.
+
+    Constructed values nested more than :data:`MAX_DEPTH` deep raise
+    :class:`DerError`.
     """
-    if offset >= len(data):
-        raise DerError("truncated tag")
-    tag = data[offset]
-    length, body_start = _decode_length(data, offset + 1)
-    body_end = body_start + length
-    if body_end > len(data):
-        raise DerError("content extends past end of data")
+    tag, body_start, body_end = read_header(data, offset)
     body = data[body_start:body_end]
 
     if tag == _TAG_INTEGER:
@@ -155,15 +183,17 @@ def decode(data: bytes, offset: int = 0) -> Tuple[int, Any, int]:
         except UnicodeDecodeError as exc:
             raise DerError(f"invalid UTF8String contents: {exc}")
     if tag == _TAG_SEQUENCE or tag & 0xE0 in (_CLASS_CONTEXT, _CLASS_APPLICATION):
-        return tag, decode_all(body), body_end
+        if _depth >= MAX_DEPTH:
+            raise DerError(f"constructed values nested deeper than {MAX_DEPTH}")
+        return tag, decode_all(body, _depth + 1), body_end
     raise DerError(f"unsupported tag 0x{tag:02x}")
 
 
-def decode_all(data: bytes) -> List[Tuple[int, Any]]:
+def decode_all(data: bytes, _depth: int = 0) -> List[Tuple[int, Any]]:
     """Decode a concatenation of TLVs, rejecting trailing garbage."""
     items: List[Tuple[int, Any]] = []
     offset = 0
     while offset < len(data):
-        tag, value, offset = decode(data, offset)
+        tag, value, offset = decode(data, offset, _depth)
         items.append((tag, value))
     return items

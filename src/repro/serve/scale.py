@@ -110,11 +110,9 @@ class LazyPrincipalKeys:
     ever did; with Zipfian popularity it stays far below N, and the
     report surfaces the gap.
 
-    :func:`run_scale_model` keeps one store per call: the main run and
-    every scaling-curve cell model the same realm with the same
-    passwords, so a key derived once serves them all.  The report's
-    ``materialized`` is read right after the main run, so it counts the
-    main run's principals only.
+    :func:`run_scale_model` keeps one store per call, for the main run
+    only: the scaling-curve cells measure capacity, and no report field
+    reads a key they would derive.
     """
 
     def __init__(self, total: int) -> None:
@@ -459,7 +457,7 @@ def _run_model_once(
     principals: int, shards: int, workers_per_shard: int, requests: int,
     replay_cache_capacity: int, interarrival_us: int, zipf_s: float,
     diurnal: bool, faults: bool, seed_rng: DeterministicRandom,
-    cal: Dict[str, int], key_store: LazyPrincipalKeys,
+    cal: Dict[str, int], key_store: Optional[LazyPrincipalKeys],
     failsafe_us: Optional[int],
     sampler_factory: Optional[Callable[["_Model"], TickSampler]] = None,
     us_per_block_op: float = DEFAULT_US_PER_BLOCK_OP,
@@ -470,7 +468,7 @@ def _run_model_once(
     caller forked; everything below draws from labelled forks of it, so
     the main run and each scaling-curve cell are independent streams
     and the whole thing replays identically for a seed.  ``key_store`` is
-    the caller's principal-key store, shared across runs of one realm.
+    the caller's principal-key store; with ``None`` no key is looked up.
     """
     from repro.sim.workload import (
         DiurnalCurve, ZipfianGenerator, open_loop_arrivals,
@@ -516,8 +514,9 @@ def _run_model_once(
     def unit_process(op: int, intended: int, rank: int) -> Iterator[Any]:
         if sampler is not None:
             sampler.poll()
-        client = key_store.name(rank)
-        key_store.key_for(rank)  # the AS key lookup: derive-on-first-touch
+        client = LazyPrincipalKeys.name(rank)
+        if key_store is not None:
+            key_store.key_for(rank)  # the AS key lookup: derive-on-first-touch
         outcome, _ = yield from model._request(
             "kerberos", shard_of(client, shards), cal["as_block_ops"],
             client, b"", backoff_rng,
@@ -657,8 +656,6 @@ def run_scale_model(
         sampler.gauge("cluster.client_retries", lambda: model.retries)
         return sampler
 
-    # One key store for the main run and every curve cell: same realm,
-    # same passwords.  The report counts the main run's keys only.
     key_store = LazyPrincipalKeys(principals)
     result = _run_model_once(
         principals, shards, workers_per_shard, requests,
@@ -666,7 +663,6 @@ def run_scale_model(
         root_rng.fork("scale:main"), cal, key_store, FAILSAFE_US,
         sampler_factory=make_sampler, us_per_block_op=us_per_block_op,
     )
-    materialized = key_store.materialized
     model: _Model = result["model"]
     sampler: TickSampler = result["sampler"]
     sampler.tick()  # final reading at end-of-run state
@@ -691,7 +687,7 @@ def run_scale_model(
             replay_cache_capacity, cell_interarrival, zipf_s,
             diurnal=False, faults=False,
             seed_rng=root_rng.fork(f"curve:{cell_shards}x{cell_workers}"),
-            cal=cal, key_store=key_store, failsafe_us=None,
+            cal=cal, key_store=None, failsafe_us=None,
             us_per_block_op=us_per_block_op,
         )
         cell_wait = LogHistogram()
@@ -751,7 +747,7 @@ def run_scale_model(
             "mode": "model",
             "principals": {
                 "total": principals,
-                "materialized": materialized,
+                "materialized": key_store.materialized,
             },
             "zipf_s": zipf_s,
             "diurnal": bool(diurnal),

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from repro import Testbed, ProtocolConfig
 from repro.attacks import harvest_tickets
 from repro.kerberos.kdc import AS_SERVICE, TGS_SERVICE
-from repro.kerberos.messages import TGS_REQ, unframe
+from repro.encoding import der
+from repro.kerberos.messages import TGS_REQ, decode_error, unframe
 from repro.kerberos.tickets import OPT_ENC_TKT_IN_SKEY, OPT_REUSE_SKEY
 from repro.sim.network import Endpoint
 
@@ -93,6 +94,24 @@ def test_tgs_endpoint_survives_fuzzing(junk):
     )
     is_error, _ = unframe(bed.config, reply)
     assert is_error
+
+
+def test_deeply_nested_payload_gets_a_framed_error():
+    """1,200 nested SEQUENCEs (4,629 bytes) once overflowed the DER
+    decoder's recursion; both KDC endpoints now answer with a KRB_ERROR
+    naming the nesting bound."""
+    blob = b"\x30\x00"
+    for _ in range(1199):
+        blob = der.encode_sequence(blob)
+    bed = make_bed(ProtocolConfig.v5_draft3(), seed=8)
+    kdc_address = bed.directory.kdc_address(bed.realm.name)
+    for service in (AS_SERVICE, TGS_SERVICE):
+        reply = bed.network.inject(
+            "10.6.6.6", Endpoint(kdc_address, service), blob
+        )
+        is_error, body = unframe(bed.config, reply)
+        assert is_error
+        assert "nested deeper than" in decode_error(bed.config, body)["text"]
 
 
 @given(junk=st.binary(max_size=120))
